@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .codec import CodecError, Reader, Writer
+from .codec import Reader, Writer
 from .crypto import DIGEST_LEN, KeyPair, Provider, sha256
 from .transactions import Transaction, decode_transaction_from, encode_transaction
 
@@ -196,16 +196,3 @@ def seal_block(
 def verify_block_signature(provider: Provider, block: Block) -> bool:
     return provider.verify(block.validator_pk, block.signing_payload(), block.validator_sig)
 
-
-def format_block(block: Block) -> str:
-    from .transactions import format_transaction
-
-    head = (
-        f"block height={block.height} time={block.time} "
-        f"hash={block_hash(block).hex()[:12]} prev={block.prev_hash.hex()[:12]} "
-        f"validator={block.validator_pk.hex()[:12] if block.validator_pk else 'genesis'}"
-    )
-    lines = [head]
-    for tx in block.transactions:
-        lines.append(f"  {format_transaction(tx)}")
-    return "\n".join(lines)

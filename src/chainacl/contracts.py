@@ -1,9 +1,11 @@
-"""Contract layer: request verification, authentication, authorization.
+"""Contract layer: authentication and authorization of admitted requests.
 
 These run inside block execution on every replica, so they are pure
-functions of (transaction, state snapshot, model, rules, block time). The
-authorization outcome travels to the storage service as an encrypted,
-validator-signed envelope; the on-chain record is the decision log entry.
+functions of (transaction, state snapshot, model, rules, block time).
+Signature and freshness are checked once, by the ledger's admission check,
+before a request reaches them. The authorization outcome travels to the
+storage service as an encrypted, validator-signed envelope; the on-chain
+record is the decision log entry.
 """
 
 from __future__ import annotations
@@ -23,19 +25,16 @@ from .engine import (
     forward,
     model_to_bytes,
 )
-from .ledger import FRESHNESS_WINDOW, LedgerState
+from .ledger import LedgerState
 from .transactions import (
     AccessRequestTx,
     N_OPERATIONS,
     RESOURCE_BITS_WIDTH,
     USER_BITS_WIDTH,
     VerifiedRequestTx,
-    verify_transaction_signature,
 )
 
 AUTH_FAIL_UNREGISTERED = "unregistered"
-AUTH_FAIL_STALE = "stale"
-AUTH_FAIL_BAD_SIGNATURE = "bad_signature"
 
 
 class ContractError(ValueError):
@@ -103,41 +102,17 @@ class RequestResult:
         )
 
 
-def verification_failure(
-    provider: Provider, tx: AccessRequestTx, state: LedgerState, now: int
-) -> str | None:
-    """First failed admission condition, or None when all hold.
-
-    Checked in order: sender registration, request freshness, signature.
-    """
-    if not state.is_registered(tx.user_pk):
-        return AUTH_FAIL_UNREGISTERED
-    if abs(tx.time - now) > FRESHNESS_WINDOW:
-        return AUTH_FAIL_STALE
-    if not verify_transaction_signature(provider, tx):
-        return AUTH_FAIL_BAD_SIGNATURE
-    return None
-
-
-def access_verification_check(
-    provider: Provider, tx: AccessRequestTx, state: LedgerState, now: int
-) -> bool:
-    return verification_failure(provider, tx, state, now) is None
-
-
 def run_authentication(
-    provider: Provider, tx: AccessRequestTx, state: LedgerState, now: int
+    tx: AccessRequestTx, state: LedgerState
 ) -> tuple[VerifiedRequestTx | None, str | None]:
-    """Admission check, then the request re-expressed in binary form.
+    """Registration check, then the request re-expressed in binary form.
 
     The produced transaction is unsigned; its authority comes from every
     replica deriving it identically during block execution.
     """
-    failure = verification_failure(provider, tx, state, now)
-    if failure is not None:
-        return None, failure
     record = state.user_record(tx.user_pk)
-    assert record is not None
+    if record is None:
+        return None, AUTH_FAIL_UNREGISTERED
     verified = VerifiedRequestTx(
         time=tx.time,
         user_bits=binary_repr(record.user_index, USER_BITS_WIDTH),
@@ -163,25 +138,11 @@ def run_authorization(
     state: LedgerState,
     now: int,
 ) -> RequestResult:
-    """Model scores folded with priority rules into the final grant vector.
-
-    A stale verification (should never survive the authentication gate)
-    fails closed: all operations denied, nothing overridden.
-    """
+    """Model scores folded with priority rules into the final grant vector."""
     if not verified.locally_derived:
         raise ContractError("authorization requires a locally derived verification")
     user_index = _bits_to_int(verified.user_bits)
     resource_id = _bits_to_int(verified.req_bits)
-    if abs(verified.time - now) > FRESHNESS_WINDOW:
-        return RequestResult(
-            request_id=verified.request_id,
-            user_pk=request.user_pk,
-            resource_id=resource_id,
-            operation=request.info.operation,
-            access_list=(False,) * N_OPERATIONS,
-            granted=False,
-            time=now,
-        )
     x = np.array(verified.user_bits + verified.req_bits, dtype=np.float64)
     scores = forward(model, x)
     decision = decide_access(rules, scores, user_index, resource_id)
@@ -205,10 +166,9 @@ def engine_fingerprint(model: DecisionModel, rules: list[PriorityRule]) -> bytes
 class ContractRuntime:
     """Engine bundle every validator runs; hooks consumed by block execution."""
 
-    def __init__(self, model: DecisionModel, rules: list[PriorityRule], provider: Provider | None = None):
+    def __init__(self, model: DecisionModel, rules: list[PriorityRule]):
         self.model = model
         self.rules = list(rules)
-        self.provider = provider or Provider()
         self._fingerprint = engine_fingerprint(model, rules)
 
     def fingerprint(self) -> bytes:
@@ -217,7 +177,7 @@ class ContractRuntime:
     def authenticate(
         self, tx: AccessRequestTx, state: LedgerState, now: int
     ) -> tuple[VerifiedRequestTx | None, str | None]:
-        return run_authentication(self.provider, tx, state, now)
+        return run_authentication(tx, state)
 
     def authorize(
         self, verified: VerifiedRequestTx, request: AccessRequestTx, state: LedgerState, now: int

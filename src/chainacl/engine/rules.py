@@ -139,16 +139,6 @@ def _parse_field(token: str, line_no: int, what: str, limit: int | None) -> int 
     return value
 
 
-def check_rule_uniqueness(rules: Sequence[PriorityRule]) -> None:
-    """No two rules may share (priority, user, resource, operation)."""
-    seen = {}
-    for rule in rules:
-        key = (rule.priority, rule.user_index, rule.resource_id, rule.operation)
-        if key in seen:
-            raise RuleError(f"duplicate rule matcher at priority {rule.priority}")
-        seen[key] = rule
-
-
 def parse_rules(text: str) -> list[PriorityRule]:
     rules: list[PriorityRule] = []
     seen_keys: dict[tuple, int] = {}

@@ -107,23 +107,6 @@ class LogEntry:
         w.string(self.reason)
 
 
-def format_log_entry(e: LogEntry) -> str:
-    parts = [f"h={e.block_height}", f"t={e.time}", e.kind]
-    if e.user_pk:
-        parts.append(f"user={sha256(e.user_pk).hex()[:10]}")
-    if e.resource_id is not None:
-        parts.append(f"res={e.resource_id}")
-    if e.operation is not None:
-        parts.append(f"op={e.operation}")
-    if e.decision:
-        parts.append(e.decision)
-    if e.reason:
-        parts.append(f"reason={e.reason}")
-    if e.request_id:
-        parts.append(f"req={e.request_id.hex()[:10]}")
-    return " ".join(parts)
-
-
 @dataclass(frozen=True)
 class UserRecord:
     user_index: int
@@ -304,8 +287,9 @@ def validate_transaction(
         return None
 
     if isinstance(tx, AccessRequestTx):
-        # registration is deliberately not checked here; the authentication
-        # contract decides that and logs the denial
+        # the only signature and freshness check a request gets; registration
+        # is deliberately not checked here, the authentication contract
+        # decides that and logs the denial
         if not verify_transaction_signature(provider, tx):
             return REJECT_BAD_SIGNATURE
         if not _fresh(tx.time, now):
@@ -334,49 +318,14 @@ def validate_transaction(
             return REJECT_UNKNOWN_REQUEST
         return None
 
-    if isinstance(tx, VerifiedRequestTx):
-        # contract output; never admitted from the network
-        return REJECT_INTERNAL_ONLY
-
+    # contract output; never admitted from the network
     return REJECT_INTERNAL_ONLY
-
-
-def register_user(state: LedgerState, setup_tx: RegisterUserTx, now: int | None = None) -> LedgerState:
-    """Standalone registration, for state built outside block flow."""
-    reason = validate_transaction(state, setup_tx, now if now is not None else setup_tx.time)
-    if reason is not None:
-        raise LedgerError(reason, "registration rejected")
-    st = state.clone()
-    _register(st, setup_tx)
-    st.seen_tx_ids.add(tx_id(setup_tx))
-    return st
 
 
 def _register(state: LedgerState, tx: RegisterUserTx) -> None:
     state.users[sha256(tx.user_pk)] = UserRecord(
         user_index=len(state.users), registered_at=tx.time
     )
-
-
-def record_nonce(state: LedgerState, nonce: bytes, now: int) -> LedgerState:
-    if nonce in state.nonce_registry:
-        raise LedgerError(REJECT_REPLAYED_NONCE, "nonce already recorded")
-    st = state.clone()
-    st.nonce_registry[nonce] = NonceRecord(issued_at=now, redeemed=False)
-    return st
-
-
-def redeem_nonce(state: LedgerState, nonce: bytes, now: int) -> LedgerState:
-    record = state.nonce_registry.get(nonce)
-    if record is None:
-        raise LedgerError(REJECT_UNKNOWN_REQUEST, "nonce never recorded")
-    if record.redeemed:
-        raise LedgerError(REJECT_REPLAYED_NONCE, "nonce already redeemed")
-    if now > record.issued_at + LINK_LIFETIME:
-        raise LedgerError("expired", "nonce lifetime elapsed")
-    st = state.clone()
-    st.nonce_registry[nonce] = replace(record, redeemed=True, redeemed_at=now)
-    return st
 
 
 # -- pool ----------------------------------------------------------------------
@@ -405,7 +354,28 @@ class ApplyOutcome:
     skipped: list[tuple[Transaction, str]] = field(default_factory=list)
 
 
-def _append_entry(state: LedgerState, outcome: ApplyOutcome, entry: LogEntry) -> None:
+def _log(
+    state: LedgerState,
+    outcome: ApplyOutcome,
+    record: RequestRecord,
+    kind: str,
+    height: int,
+    time: int,
+    decision: str = "",
+    reason: str = "",
+) -> None:
+    """Append one audit entry about ``record``'s request."""
+    entry = LogEntry(
+        kind=kind,
+        user_pk=record.user_pk,
+        resource_id=record.resource_id,
+        operation=record.operation,
+        decision=decision,
+        block_height=height,
+        time=time,
+        request_id=record.request_id,
+        reason=reason,
+    )
     state.access_log.append(entry)
     outcome.entries.append(entry)
 
@@ -420,21 +390,7 @@ def _sweep_expired(state: LedgerState, outcome: ApplyOutcome, height: int, now: 
         state.requests[rid] = replace(record, status="expired")
         queue = state.outstanding_links.get(record.user_pk, ())
         state.outstanding_links[record.user_pk] = tuple(q for q in queue if q != rid)
-        _append_entry(
-            state,
-            outcome,
-            LogEntry(
-                kind="expired",
-                user_pk=record.user_pk,
-                resource_id=record.resource_id,
-                operation=record.operation,
-                decision="denied",
-                block_height=height,
-                time=now,
-                request_id=rid,
-                reason="link_lifetime_elapsed",
-            ),
-        )
+        _log(state, outcome, record, "expired", height, now, "denied", "link_lifetime_elapsed")
 
 
 def _execute_access_request(
@@ -451,107 +407,39 @@ def _execute_access_request(
     passed (the block must carry it immediately after the request).
     """
     rid = tx.info.request_id
-    state.requests[rid] = RequestRecord(
+    record = RequestRecord(
         request_id=rid,
         user_pk=tx.user_pk,
         resource_id=tx.info.resource_id,
         operation=tx.info.operation,
         submitted_at=tx.time,
     )
-    _append_entry(
-        state,
-        outcome,
-        LogEntry(
-            kind="requested",
-            user_pk=tx.user_pk,
-            resource_id=tx.info.resource_id,
-            operation=tx.info.operation,
-            decision="",
-            block_height=height,
-            time=tx.time,
-            request_id=rid,
-        ),
-    )
+    state.requests[rid] = record
+    _log(state, outcome, record, "requested", height, tx.time)
 
     verified, failure = runtime.authenticate(tx, state, now)
     if verified is None:
-        state.requests[rid] = replace(
-            state.requests[rid], status="denied", deny_reason=failure or "unspecified"
-        )
-        _append_entry(
-            state,
-            outcome,
-            LogEntry(
-                kind="denied",
-                user_pk=tx.user_pk,
-                resource_id=tx.info.resource_id,
-                operation=tx.info.operation,
-                decision="denied",
-                block_height=height,
-                time=now,
-                request_id=rid,
-                reason=failure or "unspecified",
-            ),
-        )
+        reason = failure or "unspecified"
+        state.requests[rid] = replace(record, status="denied", deny_reason=reason)
+        _log(state, outcome, record, "denied", height, now, "denied", reason)
         return None
 
-    _append_entry(
-        state,
-        outcome,
-        LogEntry(
-            kind="authenticated",
-            user_pk=tx.user_pk,
-            resource_id=tx.info.resource_id,
-            operation=tx.info.operation,
-            decision="",
-            block_height=height,
-            time=now,
-            request_id=rid,
-        ),
-    )
+    _log(state, outcome, record, "authenticated", height, now)
 
     result = runtime.authorize(verified, tx, state, now)
     outcome.results.append(result)
     decision = "granted" if result.granted else "denied"
     basis = "rule_override" if any(result.overridden) else "model"
     state.requests[rid] = replace(
-        state.requests[rid],
+        record,
         status=decision,
         access_list=tuple(result.access_list),
         overridden=tuple(result.overridden),
     )
-    _append_entry(
-        state,
-        outcome,
-        LogEntry(
-            kind="decided",
-            user_pk=tx.user_pk,
-            resource_id=tx.info.resource_id,
-            operation=tx.info.operation,
-            decision=decision,
-            block_height=height,
-            time=now,
-            request_id=rid,
-            reason=basis,
-        ),
-    )
+    _log(state, outcome, record, "decided", height, now, decision, basis)
     if not result.granted:
         state.requests[rid] = replace(state.requests[rid], deny_reason="policy")
-        _append_entry(
-            state,
-            outcome,
-            LogEntry(
-                kind="denied",
-                user_pk=tx.user_pk,
-                resource_id=tx.info.resource_id,
-                operation=tx.info.operation,
-                decision="denied",
-                block_height=height,
-                time=now,
-                request_id=rid,
-                reason="policy",
-            ),
-        )
+        _log(state, outcome, record, "denied", height, now, "denied", "policy")
     return verified
 
 
@@ -567,20 +455,7 @@ def _execute_link_delivery(
     )
     queue = state.outstanding_links.get(record.user_pk, ())
     state.outstanding_links[record.user_pk] = queue + (tx.request_id,)
-    _append_entry(
-        state,
-        outcome,
-        LogEntry(
-            kind="link_issued",
-            user_pk=record.user_pk,
-            resource_id=record.resource_id,
-            operation=record.operation,
-            decision="granted",
-            block_height=height,
-            time=now,
-            request_id=tx.request_id,
-        ),
-    )
+    _log(state, outcome, record, "link_issued", height, now, "granted")
 
 
 def _execute_redemption(
@@ -597,20 +472,7 @@ def _execute_redemption(
         issued_at=issued_at, redeemed=True, redeemed_at=tx.time
     )
     state.requests[rid] = replace(record, status="redeemed", redeemed_at=tx.time)
-    _append_entry(
-        state,
-        outcome,
-        LogEntry(
-            kind="redeemed",
-            user_pk=tx.user_pk,
-            resource_id=record.resource_id,
-            operation=record.operation,
-            decision="granted",
-            block_height=height,
-            time=tx.time,
-            request_id=rid,
-        ),
-    )
+    _log(state, outcome, record, "redeemed", height, tx.time, "granted")
 
 
 def _execute_block_txs(
@@ -963,14 +825,3 @@ def verify_chain(blocks: Sequence[Block], runtime: ContractHooks | None = None) 
     except (LedgerError, ValueError):
         return False
 
-
-def snapshot_text(state: LedgerState) -> str:
-    """Human-readable dump of the replicated state."""
-    lines = [
-        f"height {state.height} tip {state.tip_hash.hex()[:16]}",
-        f"users {len(state.users)} nonces {len(state.nonce_registry)} "
-        f"log {len(state.access_log)} requests {len(state.requests)}",
-    ]
-    for entry in state.access_log:
-        lines.append("  " + format_log_entry(entry))
-    return "\n".join(lines)

@@ -73,7 +73,7 @@ class Fixtures:
     n_resources: int = N_RESOURCES
 
     def runtime(self) -> ContractRuntime:
-        return ContractRuntime(self.model, self.rules, provider=Provider(self.seed))
+        return ContractRuntime(self.model, self.rules)
 
     def payload(self, resource_id: int) -> bytes:
         base = sha256(f"payload/{self.seed}/{resource_id}".encode())
@@ -816,7 +816,7 @@ def _run_matrix_row(
         genesis_time=0,
         block_interval=fixtures.config.block_interval,
     )
-    runtime = ContractRuntime(fixtures.model, rules, provider=Provider(fixtures.seed))
+    runtime = ContractRuntime(fixtures.model, rules)
     tag = f"{int(registered)}{int(model_grant)}{rule_effect}"
     world = build_world(fixtures, _net_for(f"matrix/{tag}", base_seed), config, runtime)
 

@@ -241,19 +241,6 @@ def build_redemption_log_tx(provider: Provider, storage: KeyPair, nonce: bytes, 
 # --- signature verification ---------------------------------------------------
 
 
-def transaction_signature(tx: Transaction) -> tuple[bytes, bytes] | None:
-    """Return (signer public key, signature) for signed variants, else None."""
-    if isinstance(tx, RegisterUserTx):
-        return tx.admin_pk, tx.admin_sig
-    if isinstance(tx, AccessRequestTx):
-        return tx.user_pk, tx.user_sig
-    if isinstance(tx, (LinkDeliveryTx, RedemptionLogTx)):
-        # Signed by the storage key; the authorized key is checked by the
-        # ledger, here we only know the signature bytes.
-        return None
-    return None
-
-
 def verify_transaction_signature(provider: Provider, tx: Transaction, storage_pk: bytes | None = None) -> bool:
     """Check the variant's signature against its stated or implied signer.
 
@@ -265,11 +252,7 @@ def verify_transaction_signature(provider: Provider, tx: Transaction, storage_pk
         return provider.verify(tx.admin_pk, tx.payload_bytes(), tx.admin_sig)
     if isinstance(tx, AccessRequestTx):
         return provider.verify(tx.user_pk, tx.payload_bytes(), tx.user_sig)
-    if isinstance(tx, LinkDeliveryTx):
-        if storage_pk is None:
-            return False
-        return provider.verify(storage_pk, tx.payload_bytes(), tx.storage_sig)
-    if isinstance(tx, RedemptionLogTx):
+    if isinstance(tx, (LinkDeliveryTx, RedemptionLogTx)):
         if storage_pk is None:
             return False
         return provider.verify(storage_pk, tx.payload_bytes(), tx.storage_sig)

@@ -5,28 +5,25 @@ import pytest
 
 from chainacl.blocks import GenesisConfig
 from chainacl.contracts import (
-    AUTH_FAIL_BAD_SIGNATURE,
-    AUTH_FAIL_STALE,
     AUTH_FAIL_UNREGISTERED,
     ContractError,
     ContractRuntime,
     EnvelopeError,
     RequestResult,
-    access_verification_check,
     decrypt_request_result,
     encrypt_request_result,
     engine_fingerprint,
     run_authentication,
     run_authorization,
-    verification_failure,
 )
 from chainacl.crypto import Provider, sha256
 from chainacl.engine import ALLOW, DENY, PriorityRule, init_model, zero_model
-from chainacl.ledger import FRESHNESS_WINDOW, genesis, register_user
+from chainacl.ledger import genesis
 from chainacl.transactions import (
     AccessRequestTx,
     N_OPERATIONS,
     RequestInfo,
+    VerifiedRequestTx,
     build_access_request_tx,
     build_register_user_tx,
 )
@@ -49,7 +46,7 @@ def actors(p):
 
 
 @pytest.fixture(scope="module")
-def state(p, actors):
+def state(p, actors, seal_next):
     config = GenesisConfig(
         admin_pks=(actors["admin"].public_key,),
         validators=tuple(v.public_key for v in actors["validators"]),
@@ -58,7 +55,7 @@ def state(p, actors):
     )
     st = genesis(config)
     reg = build_register_user_tx(p, actors["admin"], actors["user"].public_key, time=1)
-    return register_user(st, reg, now=1)
+    return seal_next(st, p, actors, None, 1, [reg])
 
 
 def _request(p, actors, rid=b"\x01" * 16, time=10, resource=5, op=2):
@@ -113,34 +110,22 @@ def test_request_result_round_trip():
     assert RequestResult.decode(result.encode()) == result
 
 
-def test_authentication_failure_order(p, actors, state):
-    """Registration is checked before freshness, freshness before signature."""
-    rid = b"\x02" * 16
-    ghost_tx = build_access_request_tx(
-        p, actors["ghost"], RequestInfo(5, 2, rid), time=9999
-    )
-    # unregistered sender with a stale time still reports unregistered
-    assert verification_failure(p, ghost_tx, state, now=10) == AUTH_FAIL_UNREGISTERED
-
-    stale = _request(p, actors, time=10)
-    broken = AccessRequestTx(
-        user_pk=stale.user_pk, time=stale.time, info=stale.info, user_sig=b"\x00" * 64
-    )
-    # registered, stale, and corrupt: staleness wins
-    assert (
-        verification_failure(p, broken, state, now=10 + FRESHNESS_WINDOW + 1)
-        == AUTH_FAIL_STALE
-    )
-    # registered and fresh but corrupt signature
-    assert verification_failure(p, broken, state, now=10) == AUTH_FAIL_BAD_SIGNATURE
+def test_runtime_authentication_leaves_signature_to_the_ledger(p, actors, state):
+    """Block execution has already checked the signature; the contract
+    checks registration only, so a zeroed signature still authenticates."""
     good = _request(p, actors)
-    assert verification_failure(p, good, state, now=10) is None
-    assert access_verification_check(p, good, state, now=10)
+    zeroed = AccessRequestTx(
+        user_pk=good.user_pk, time=good.time, info=good.info, user_sig=b"\x00" * 64
+    )
+    verified, failure = ContractRuntime(zero_model(), []).authenticate(zeroed, state, now=10)
+    assert failure is None
+    assert isinstance(verified, VerifiedRequestTx)
+    assert verified.request_id == good.info.request_id
 
 
 def test_authentication_emits_binary_identity(p, actors, state):
     tx = _request(p, actors, resource=5)
-    verified, failure = run_authentication(p, tx, state, now=10)
+    verified, failure = run_authentication(tx, state)
     assert failure is None
     assert verified.locally_derived
     assert verified.request_id == tx.info.request_id
@@ -154,13 +139,13 @@ def test_authentication_failure_returns_no_tx(p, actors, state):
     ghost_tx = build_access_request_tx(
         p, actors["ghost"], RequestInfo(5, 2, b"\x03" * 16), time=10
     )
-    verified, failure = run_authentication(p, ghost_tx, state, now=10)
+    verified, failure = run_authentication(ghost_tx, state)
     assert verified is None and failure == AUTH_FAIL_UNREGISTERED
 
 
 def test_authorization_model_only(p, actors, state):
     tx = _request(p, actors, op=2)
-    verified, _ = run_authentication(p, tx, state, now=10)
+    verified, _ = run_authentication(tx, state)
     result = run_authorization(zero_model(), [], verified, tx, state, now=10)
     # zero model scores 0.5 everywhere, threshold grants
     assert result.access_list == (True,) * N_OPERATIONS
@@ -171,7 +156,7 @@ def test_authorization_model_only(p, actors, state):
 
 def test_authorization_rule_override(p, actors, state):
     tx = _request(p, actors, op=2)
-    verified, _ = run_authentication(p, tx, state, now=10)
+    verified, _ = run_authentication(tx, state)
     deny_all = [PriorityRule(10, None, None, None, DENY)]
     result = run_authorization(zero_model(), deny_all, verified, tx, state, now=10)
     assert result.granted is False
@@ -181,7 +166,7 @@ def test_authorization_rule_override(p, actors, state):
 
 def test_authorization_requires_local_derivation(p, actors, state):
     tx = _request(p, actors)
-    verified, _ = run_authentication(p, tx, state, now=10)
+    verified, _ = run_authentication(tx, state)
     from chainacl.transactions import decode_transaction, encode_transaction
 
     wire_copy = decode_transaction(encode_transaction(verified))
@@ -189,20 +174,10 @@ def test_authorization_requires_local_derivation(p, actors, state):
         run_authorization(zero_model(), [], wire_copy, tx, state, now=10)
 
 
-def test_authorization_fails_closed_on_stale_verification(p, actors, state):
-    tx = _request(p, actors, time=10)
-    verified, _ = run_authentication(p, tx, state, now=10)
-    late = 10 + FRESHNESS_WINDOW + 1
-    result = run_authorization(zero_model(), [], verified, tx, state, now=late)
-    assert result.granted is False
-    assert result.access_list == (False,) * N_OPERATIONS
-    assert result.overridden == (False,) * N_OPERATIONS
-
-
 def test_runtime_truth_table(p, actors, state):
     """Model grant x rule effect, all six combinations, at the contract level."""
     tx = _request(p, actors, op=0)
-    verified, _ = run_authentication(p, tx, state, now=10)
+    verified, _ = run_authentication(tx, state)
     grant_model = zero_model()  # scores 0.5: grants
     deny_model = zero_model()
     deny_model.biases[-1][:] = -5.0  # scores ~0.007: denies

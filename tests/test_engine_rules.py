@@ -10,7 +10,6 @@ from chainacl.engine import (
     RuleError,
     RuleParseError,
     apply_priority_rules,
-    check_rule_uniqueness,
     decide_access,
     format_rules,
     parse_rules,
@@ -121,14 +120,6 @@ def test_rule_validation():
         PriorityRule(0, None, None, None, "maybe")
     with pytest.raises(RuleError):
         apply_priority_rules([], (True,) * 3, 0, 0)
-
-
-def test_uniqueness_check():
-    rules = [_rule(priority=1, user=1, effect=ALLOW), _rule(priority=1, user=2, effect=ALLOW)]
-    check_rule_uniqueness(rules)  # distinct matchers ok
-    clash = [_rule(priority=1, user=1, effect=ALLOW), _rule(priority=1, user=1, effect=DENY)]
-    with pytest.raises(RuleError):
-        check_rule_uniqueness(clash)
 
 
 def test_parse_basic_and_comments():

@@ -30,9 +30,6 @@ from chainacl.ledger import (
     load_chain,
     poll_request,
     query_access_log,
-    record_nonce,
-    redeem_nonce,
-    register_user,
     replay_chain,
     save_chain,
     slot_leader,
@@ -43,6 +40,7 @@ from chainacl.ledger import (
     verify_chain,
 )
 from chainacl.transactions import (
+    AccessRequestTx,
     RequestInfo,
     VerifiedRequestTx,
     build_access_request_tx,
@@ -103,11 +101,12 @@ def state(config):
     return genesis(config)
 
 
-def _registered(state, p, actors, users=None, now=1):
-    for u in users if users is not None else actors["users"]:
-        tx = build_register_user_tx(p, actors["admin"], u.public_key, time=now)
-        state = register_user(state, tx, now=now)
-    return state
+def _registered(seal_next, state, p, actors, users=None, now=1):
+    txs = [
+        build_register_user_tx(p, actors["admin"], u.public_key, time=now)
+        for u in (users if users is not None else actors["users"])
+    ]
+    return seal_next(state, p, actors, None, now, txs)
 
 
 def test_slot_arithmetic(config):
@@ -131,16 +130,16 @@ def test_leader_rotation_round_robin(config):
         assert expected_leader(t, vs) == vs[t % 3]
 
 
-def test_register_users_dense_indices(state, p, actors):
-    st = _registered(state, p, actors)
+def test_register_users_dense_indices(seal_next, state, p, actors):
+    st = _registered(seal_next, state, p, actors)
     indices = sorted(
         st.user_record(u.public_key).user_index for u in actors["users"]
     )
     assert indices == list(range(len(actors["users"])))
 
 
-def test_register_rejects_duplicate_user(state, p, actors):
-    st = _registered(state, p, actors)
+def test_register_rejects_duplicate_user(seal_next, state, p, actors):
+    st = _registered(seal_next, state, p, actors)
     tx = build_register_user_tx(p, actors["admin"], actors["users"][0].public_key, time=2)
     assert validate_transaction(st, tx, now=2) == REJECT_DUPLICATE_USER
 
@@ -171,6 +170,64 @@ def test_freshness_window_boundaries(state, p, actors):
     assert validate_transaction(state, future, now=0) == REJECT_STALE_TIME
 
 
+def _forged_request(p, user, rid, time):
+    good = build_access_request_tx(p, user, RequestInfo(3, 1, rid), time=time)
+    return AccessRequestTx(
+        user_pk=good.user_pk, time=good.time, info=good.info, user_sig=b"\x00" * 64
+    )
+
+
+def test_access_request_signature_and_freshness(state, p, actors):
+    """The one check of a request's signature and time; registration is left
+    to the authentication contract, so an unregistered sender passes here."""
+    user = actors["users"][0]
+    t = 200
+    good = build_access_request_tx(p, user, RequestInfo(3, 1, b"\x21" * 16), time=t)
+    assert validate_transaction(state, good, now=t) is None
+    assert validate_transaction(state, _forged_request(p, user, b"\x21" * 16, t), now=t) == REJECT_BAD_SIGNATURE
+    assert validate_transaction(state, good, now=t - FRESHNESS_WINDOW) is None
+    assert validate_transaction(state, good, now=t + FRESHNESS_WINDOW) is None
+    assert validate_transaction(state, good, now=t - FRESHNESS_WINDOW - 1) == REJECT_STALE_TIME
+    assert validate_transaction(state, good, now=t + FRESHNESS_WINDOW + 1) == REJECT_STALE_TIME
+
+
+def test_build_block_skips_stale_and_forged_requests(seal_next, state, p, actors, runtime):
+    user = actors["users"][0]
+    st = _registered(seal_next, state, p, actors, users=[user])
+    stale = build_access_request_tx(p, user, RequestInfo(3, 1, b"\x31" * 16), time=2)
+    assert submit_to_pool(st, stale, now=2) is None  # fresh when pooled
+    now = 2 + FRESHNESS_WINDOW + 1
+    forged = _forged_request(p, user, b"\x32" * 16, now)
+    st.pending_pool.append(forged)  # a pool entry that never passed admission
+    good = build_access_request_tx(p, user, RequestInfo(3, 1, b"\x33" * 16), time=now)
+    assert submit_to_pool(st, good, now=now) is None
+    leader = next(v for v in actors["validators"] if v.public_key == slot_leader(now, st.config))
+    block, outcome = build_block(st, leader, now, runtime, provider=p)
+    assert block is not None, outcome.reason
+    assert outcome.skipped == [(stale, REJECT_STALE_TIME), (forged, REJECT_BAD_SIGNATURE)]
+    assert block.transactions[0] == good and len(block.transactions) == 2
+    assert {e.request_id for e in outcome.entries} == {good.info.request_id}
+    applied = apply_block(st, block, runtime, provider=p)
+    assert applied.ok, applied.reason
+    assert {e.request_id for e in applied.state.access_log} == {good.info.request_id}
+    assert stale.info.request_id not in applied.state.requests
+    assert forged.info.request_id not in applied.state.requests
+
+
+def test_apply_block_refuses_stale_or_forged_request(seal_next, state, p, actors, runtime):
+    user = actors["users"][0]
+    st = _registered(seal_next, state, p, actors, users=[user])
+    now = 2 + FRESHNESS_WINDOW + 1
+    leader = next(v for v in actors["validators"] if v.public_key == slot_leader(now, st.config))
+    stale = build_access_request_tx(p, user, RequestInfo(3, 1, b"\x41" * 16), time=2)
+    forged = _forged_request(p, user, b"\x42" * 16, now)
+    for tx, reason in ((stale, REJECT_STALE_TIME), (forged, REJECT_BAD_SIGNATURE)):
+        block = seal_block(p, leader, st.height + 1, st.tip_hash, now, (tx,))
+        outcome = apply_block(st, block, runtime, provider=p)
+        assert not outcome.ok and outcome.reason.startswith(reason + ":"), outcome.reason
+        assert outcome.state is None and outcome.entries == []
+
+
 def test_verified_tx_never_admitted(state):
     tx = VerifiedRequestTx(
         time=1, user_bits=(0,) * 16, req_bits=(0,) * 16, request_id=b"x" * 16
@@ -179,10 +236,10 @@ def test_verified_tx_never_admitted(state):
     assert submit_to_pool(state, tx, now=1) == REJECT_INTERNAL_ONLY
 
 
-def test_reject_reasons_stay_in_closed_set(state, p, actors):
+def test_reject_reasons_stay_in_closed_set(seal_next, state, p, actors):
     """Randomized probes never produce a reason outside the documented set."""
     rng = random.Random(9)
-    st = _registered(state, p, actors)
+    st = _registered(seal_next, state, p, actors)
     for _ in range(300):
         kind = rng.randrange(4)
         t = rng.randrange(0, 400)
@@ -218,25 +275,6 @@ def test_pool_duplicate_vs_execution_duplicate(state, p, actors):
     # but judged against chain history alone the pooled tx is fine
     assert validate_transaction(state, tx, now=1, against_pool=False) is None
     assert validate_transaction(state, tx, now=1, against_pool=True) == REJECT_DUPLICATE
-
-
-def test_nonce_lifecycle(state):
-    st = record_nonce(state, b"n" * 16, now=10)
-    with pytest.raises(LedgerError):
-        record_nonce(st, b"n" * 16, now=11)
-    st2 = redeem_nonce(st, b"n" * 16, now=20)
-    assert st2.nonce_registry[b"n" * 16].redeemed
-    with pytest.raises(LedgerError):
-        redeem_nonce(st2, b"n" * 16, now=21)
-    with pytest.raises(LedgerError):
-        redeem_nonce(st, b"m" * 16, now=20)
-
-
-def test_nonce_expiry_boundary(state):
-    st = record_nonce(state, b"n" * 16, now=10)
-    redeem_nonce(st, b"n" * 16, now=10 + LINK_LIFETIME)  # inclusive edge
-    with pytest.raises(LedgerError):
-        redeem_nonce(st, b"n" * 16, now=10 + LINK_LIFETIME + 1)
 
 
 def _grow_chain(state, p, actors, runtime, ticks=6):
@@ -411,8 +449,8 @@ def test_state_digest_excludes_pool(state, p, actors):
     assert state_digest(state) == before
 
 
-def test_state_digest_tracks_replicated_state(state, p, actors):
-    st = _registered(state, p, actors, users=actors["users"][:1])
+def test_state_digest_tracks_replicated_state(seal_next, state, p, actors):
+    st = _registered(seal_next, state, p, actors, users=actors["users"][:1])
     assert state_digest(st) != state_digest(state)
 
 
@@ -429,33 +467,20 @@ def test_query_access_log_filters(state, p, actors, runtime):
     assert all(e.block_height <= 1 for e in bounded)
 
 
-def _seal_next(state, p, actors, runtime, now, txs):
-    for tx in txs:
-        reason = submit_to_pool(state, tx, now=now, provider=p)
-        assert reason is None, reason
-    leader_pk = slot_leader(now, state.config)
-    leader = next(v for v in actors["validators"] if v.public_key == leader_pk)
-    block, outcome = build_block(state, leader, now, runtime, provider=p)
-    assert block is not None, outcome.reason
-    applied = apply_block(state, block, runtime, provider=p)
-    assert applied.ok, applied.reason
-    return applied.state
-
-
-def _pipeline_state(state, p, actors, runtime):
+def _pipeline_state(seal_next, state, p, actors, runtime):
     """One request taken all the way to a live link at tick 3."""
     user = actors["users"][0]
     rid = b"\x07" * 16
-    st = _seal_next(
+    st = seal_next(
         state, p, actors, runtime, 1,
         [build_register_user_tx(p, actors["admin"], user.public_key, time=1)],
     )
-    st = _seal_next(
+    st = seal_next(
         st, p, actors, runtime, 2,
         [build_access_request_tx(p, user, RequestInfo(3, 1, rid), time=2)],
     )
     assert st.requests[rid].status == "granted"
-    st = _seal_next(
+    st = seal_next(
         st, p, actors, runtime, 3,
         [build_link_delivery_tx(p, actors["storage"], b"sealed link bytes", rid)],
     )
@@ -463,8 +488,8 @@ def _pipeline_state(state, p, actors, runtime):
     return st, user, rid
 
 
-def test_poll_request_read_time_expiry(state, p, actors, runtime):
-    st, user, rid = _pipeline_state(state, p, actors, runtime)
+def test_poll_request_read_time_expiry(seal_next, state, p, actors, runtime):
+    st, user, rid = _pipeline_state(seal_next, state, p, actors, runtime)
     issued_at = st.requests[rid].link_issued_at
     fresh = poll_request(st, rid, now=issued_at + LINK_LIFETIME)
     assert fresh.status == "link_issued"
@@ -475,10 +500,10 @@ def test_poll_request_read_time_expiry(state, p, actors, runtime):
     assert poll_request(st, b"no such id 1234!", now=0) is None
 
 
-def test_redemption_closes_the_loop(state, p, actors, runtime):
-    st, user, rid = _pipeline_state(state, p, actors, runtime)
+def test_redemption_closes_the_loop(seal_next, state, p, actors, runtime):
+    st, user, rid = _pipeline_state(seal_next, state, p, actors, runtime)
     nonce = b"\x0b" * 16
-    st = _seal_next(
+    st = seal_next(
         st, p, actors, runtime, 4,
         [build_redemption_log_tx(p, actors["storage"], nonce, 4, user.public_key)],
     )
@@ -492,19 +517,19 @@ def test_redemption_closes_the_loop(state, p, actors, runtime):
     assert validate_transaction(st, replay, now=5, provider=p) == REJECT_REPLAYED_NONCE
 
 
-def test_unlinked_redemption_rejected(state, p, actors, runtime):
-    st, user, rid = _pipeline_state(state, p, actors, runtime)
+def test_unlinked_redemption_rejected(seal_next, state, p, actors, runtime):
+    st, user, rid = _pipeline_state(seal_next, state, p, actors, runtime)
     stranger = actors["users"][1]
     tx = build_redemption_log_tx(p, actors["storage"], b"\x0c" * 16, 4, stranger.public_key)
     assert validate_transaction(st, tx, now=4, provider=p) == REJECT_UNKNOWN_REQUEST
 
 
-def test_expiry_sweep_is_consensus_state(state, p, actors, runtime):
-    st, user, rid = _pipeline_state(state, p, actors, runtime)
+def test_expiry_sweep_is_consensus_state(seal_next, state, p, actors, runtime):
+    st, user, rid = _pipeline_state(seal_next, state, p, actors, runtime)
     issued_at = st.requests[rid].link_issued_at
     late = issued_at + LINK_LIFETIME + 50
     other = actors["users"][1]
-    st = _seal_next(
+    st = seal_next(
         st, p, actors, runtime, late,
         [build_register_user_tx(p, actors["admin"], other.public_key, time=late)],
     )

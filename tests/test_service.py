@@ -4,7 +4,7 @@ import pytest
 
 from chainacl.blocks import GenesisConfig
 from chainacl.crypto import Provider, sha256
-from chainacl.ledger import LogEntry, RequestRecord, genesis, register_user, submit_to_pool
+from chainacl.ledger import LogEntry, RequestRecord, genesis, submit_to_pool
 from chainacl.service import (
     ERROR_KINDS,
     ServiceConfig,
@@ -35,7 +35,7 @@ def actors(p):
 
 
 @pytest.fixture
-def state(p, actors):
+def state(p, actors, seal_next):
     config = GenesisConfig(
         admin_pks=(actors["admin"].public_key,),
         validators=tuple(v.public_key for v in actors["validators"]),
@@ -44,7 +44,7 @@ def state(p, actors):
     )
     st = genesis(config)
     reg = build_register_user_tx(p, actors["admin"], actors["user"].public_key, time=1)
-    return register_user(st, reg, now=1)
+    return seal_next(st, p, actors, None, 1, [reg])
 
 
 class Backend:
@@ -151,7 +151,7 @@ def test_unknown_op_is_usage_error(state):
 def test_status_reports_ledger_shape(state):
     out = dispatch_service(Backend(state), {"op": "status"})
     assert out["ok"] and out["role"] == "validator"
-    assert out["height"] == 0 and out["users"] == 1 and out["pool"] == 0
+    assert out["height"] == 1 and out["users"] == 1 and out["pool"] == 0
 
 
 def test_status_without_ledger(state):
@@ -253,8 +253,8 @@ def test_logs_filters_and_shape(state, actors):
 
 def test_chain_render_and_range(state):
     out = dispatch_service(Backend(state), {"op": "chain"})
-    assert out["ok"] and len(out["blocks"]) == 1
-    assert out["blocks"][0]["height"] == 0
+    assert out["ok"] and len(out["blocks"]) == 2
+    assert [b["height"] for b in out["blocks"]] == [0, 1]
     empty = dispatch_service(Backend(state), {"op": "chain", "from_height": 5})
     assert empty["blocks"] == []
 
