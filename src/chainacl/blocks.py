@@ -8,11 +8,11 @@ All later blocks are signed by the validator whose time slot they fall in.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
-from .codec import Reader, Writer
+from .codec import BYTES, U32, U64, counted, decode_record, encode_record, fixed, optional
 from .crypto import DIGEST_LEN, KeyPair, Provider, sha256
-from .transactions import Transaction, decode_transaction_from, encode_transaction
+from .transactions import TRANSACTION, Transaction
 
 GENESIS_PREV_HASH = b"\x00" * DIGEST_LEN
 
@@ -36,6 +36,15 @@ class GenesisConfig:
     genesis_time: int = 0
     block_interval: int = 1
 
+    FIELDS = (
+        ("admin_pks", counted(BYTES)),
+        ("validators", counted(BYTES)),
+        ("storage_pk", BYTES),
+        ("engine_fingerprint", BYTES),
+        ("genesis_time", U64),
+        ("block_interval", U32),
+    )
+
     def __post_init__(self) -> None:
         if self.block_interval < 1:
             raise ConfigurationError("block_interval must be at least 1")
@@ -53,37 +62,15 @@ class GenesisConfig:
             raise ConfigurationError("validator keys must be distinct")
 
     def encode(self) -> bytes:
-        w = Writer()
-        w.u32(len(self.admin_pks))
-        for pk in self.admin_pks:
-            w.bytes_(pk)
-        w.u32(len(self.validators))
-        for pk in self.validators:
-            w.bytes_(pk)
-        w.bytes_(self.storage_pk)
-        w.bytes_(self.engine_fingerprint)
-        w.u64(self.genesis_time)
-        w.u32(self.block_interval)
-        return w.getvalue()
+        return encode_record(self, self.FIELDS)
 
     @classmethod
     def decode(cls, data: bytes) -> "GenesisConfig":
-        r = Reader(data)
-        admin_pks = tuple(r.bytes_() for _ in range(r.u32()))
-        validators = tuple(r.bytes_() for _ in range(r.u32()))
-        storage_pk = r.bytes_()
-        fingerprint = r.bytes_()
-        genesis_time = r.u64()
-        block_interval = r.u32()
-        r.expect_end()
-        return cls(
-            admin_pks=admin_pks,
-            validators=validators,
-            storage_pk=storage_pk,
-            engine_fingerprint=fingerprint,
-            genesis_time=genesis_time,
-            block_interval=block_interval,
-        )
+        return decode_record(cls, data, cls.FIELDS)
+
+
+# a genesis configuration carried inside a block: its encoding, length-prefixed
+_CONFIG = (lambda w, config: w.bytes_(config.encode()), lambda r: GenesisConfig.decode(r.bytes_()))
 
 
 @dataclass(frozen=True)
@@ -96,60 +83,38 @@ class Block:
     validator_sig: bytes
     genesis_config: GenesisConfig | None = None
 
+    # signed fields in wire order; the signature follows them on the wire
+    FIELDS = (
+        ("height", U64),
+        ("prev_hash", fixed(DIGEST_LEN)),
+        ("time", U64),
+        ("transactions", counted(TRANSACTION)),
+        ("validator_pk", BYTES),
+        ("genesis_config", optional(_CONFIG)),
+    )
+
     def signing_payload(self) -> bytes:
         """Canonical encoding of every field except the signature."""
-        w = Writer()
-        w.u64(self.height)
-        w.raw(self.prev_hash)
-        w.u64(self.time)
-        w.u32(len(self.transactions))
-        for tx in self.transactions:
-            w.bytes_(encode_transaction(tx))
-        w.bytes_(self.validator_pk)
-        if self.genesis_config is None:
-            w.boolean(False)
-        else:
-            w.boolean(True)
-            w.bytes_(self.genesis_config.encode())
-        return w.getvalue()
+        return encode_record(self, self.FIELDS)
+
+
+_BLOCK_WIRE = Block.FIELDS + (("validator_sig", BYTES),)
 
 
 def encode_block(block: Block) -> bytes:
-    w = Writer()
-    w.raw(block.signing_payload())
-    w.bytes_(block.validator_sig)
-    return w.getvalue()
+    return encode_record(block, _BLOCK_WIRE)
 
 
 def decode_block(data: bytes) -> Block:
-    r = Reader(data)
-    height = r.u64()
-    prev_hash = r.raw(DIGEST_LEN)
-    time = r.u64()
-    n_txs = r.u32()
-    txs = []
-    for _ in range(n_txs):
-        tx_bytes = r.bytes_()
-        tr = Reader(tx_bytes)
-        txs.append(decode_transaction_from(tr))
-        tr.expect_end()
-    validator_pk = r.bytes_()
-    config = GenesisConfig.decode(r.bytes_()) if r.boolean() else None
-    sig = r.bytes_()
-    r.expect_end()
-    return Block(
-        height=height,
-        prev_hash=prev_hash,
-        time=time,
-        transactions=tuple(txs),
-        validator_pk=validator_pk,
-        validator_sig=sig,
-        genesis_config=config,
-    )
+    return decode_record(Block, data, _BLOCK_WIRE)
 
 
 def block_hash(block: Block) -> bytes:
     return sha256(encode_block(block))
+
+
+# a block carried inside another record: its encoding, length-prefixed
+BLOCK = (lambda w, block: w.bytes_(encode_block(block)), lambda r: decode_block(r.bytes_()))
 
 
 def make_genesis_block(config: GenesisConfig) -> Block:
@@ -183,14 +148,7 @@ def seal_block(
         validator_sig=b"",
     )
     sig = provider.sign(leader.secret_key, unsigned.signing_payload())
-    return Block(
-        height=height,
-        prev_hash=prev_hash,
-        time=time,
-        transactions=transactions,
-        validator_pk=leader.public_key,
-        validator_sig=sig,
-    )
+    return replace(unsigned, validator_sig=sig)
 
 
 def verify_block_signature(provider: Provider, block: Block) -> bool:

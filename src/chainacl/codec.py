@@ -3,7 +3,12 @@
 Every record that gets signed, hashed, or sent over a wire is serialized
 through these helpers so the byte layout is fixed: integers are big-endian
 fixed width, byte strings and UTF-8 strings are length-prefixed with a u32.
-Field order is defined by each record's encode function and never varies.
+
+Each wire record declares its layout once, as an ordered table of
+(attribute, codec) pairs; ``write_fields`` and ``read_fields`` walk that
+table, so a record's encoder and decoder cannot disagree on field order.
+A codec is a (write, read) pair over the checked ``Writer``/``Reader``
+methods below.
 """
 
 from __future__ import annotations
@@ -103,3 +108,88 @@ class Reader:
     def expect_end(self) -> None:
         if self._pos != len(self._data):
             raise CodecError(f"{self.remaining()} trailing bytes after record")
+
+
+# -- field codecs ----------------------------------------------------------------
+
+U8 = (Writer.u8, Reader.u8)
+U32 = (Writer.u32, Reader.u32)
+U64 = (Writer.u64, Reader.u64)
+BOOLEAN = (Writer.boolean, Reader.boolean)
+BYTES = (Writer.bytes_, Reader.bytes_)
+STRING = (Writer.string, Reader.string)
+
+
+def fixed(n: int):
+    """Exactly ``n`` raw bytes, no length prefix."""
+    return Writer.raw, lambda r: r.raw(n)
+
+
+def array(codec, n: int):
+    """Exactly ``n`` elements with no count (the writer writes what it is
+    given); reads back a tuple."""
+    write, read = codec
+
+    def write_all(w: Writer, values) -> None:
+        for value in values:
+            write(w, value)
+
+    return write_all, lambda r: tuple(read(r) for _ in range(n))
+
+
+def counted(codec):
+    """A u32 element count, then each element; reads back a tuple."""
+    write, read = codec
+
+    def write_all(w: Writer, values) -> None:
+        w.u32(len(values))
+        for value in values:
+            write(w, value)
+
+    return write_all, lambda r: tuple(read(r) for _ in range(r.u32()))
+
+
+def optional(codec):
+    """A presence boolean, then the value when present (``None`` otherwise)."""
+    write, read = codec
+
+    def write_opt(w: Writer, value) -> None:
+        w.boolean(value is not None)
+        if value is not None:
+            write(w, value)
+
+    return write_opt, lambda r: read(r) if r.boolean() else None
+
+
+def inline(cls):
+    """A record of type ``cls`` written in place from its ``FIELDS`` table."""
+    return (
+        lambda w, value: write_fields(w, value, cls.FIELDS),
+        lambda r: cls(**read_fields(r, cls.FIELDS)),
+    )
+
+
+def write_fields(w: Writer, obj, fields) -> None:
+    """Write ``obj``'s attributes in table order."""
+    for name, (write, _) in fields:
+        write(w, getattr(obj, name))
+
+
+def read_fields(r: Reader, fields) -> dict:
+    """Read a table's fields back, in order, as keyword arguments."""
+    return {name: read(r) for name, (_, read) in fields}
+
+
+def encode_record(obj, fields) -> bytes:
+    """``obj``'s fields alone, in table order."""
+    w = Writer()
+    write_fields(w, obj, fields)
+    return w.getvalue()
+
+
+def decode_record(cls, data: bytes, fields):
+    """The inverse of ``encode_record``; trailing bytes are an error."""
+    r = Reader(data)
+    values = read_fields(r, fields)
+    r.expect_end()
+    return cls(**values)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .codec import Reader, Writer
+from .codec import BOOLEAN, BYTES, U8, U32, U64, Reader, Writer, array, decode_record, encode_record
 from .crypto import KeyPair, Provider, sha256
 from .engine import (
     DecisionModel,
@@ -58,6 +58,17 @@ class RequestResult:
     time: int
     overridden: tuple[bool, ...] = (False,) * N_OPERATIONS
 
+    FIELDS = (
+        ("request_id", BYTES),
+        ("user_pk", BYTES),
+        ("resource_id", U32),
+        ("operation", U8),
+        ("access_list", array(BOOLEAN, N_OPERATIONS)),
+        ("granted", BOOLEAN),
+        ("time", U64),
+        ("overridden", array(BOOLEAN, N_OPERATIONS)),
+    )
+
     def __post_init__(self):
         if len(self.access_list) != N_OPERATIONS:
             raise ContractError(f"access_list must have {N_OPERATIONS} entries")
@@ -65,41 +76,11 @@ class RequestResult:
             raise ContractError("granted must equal access_list[operation]")
 
     def encode(self) -> bytes:
-        w = Writer()
-        w.bytes_(self.request_id)
-        w.bytes_(self.user_pk)
-        w.u32(self.resource_id)
-        w.u8(self.operation)
-        for b in self.access_list:
-            w.boolean(b)
-        w.boolean(self.granted)
-        w.u64(self.time)
-        for b in self.overridden:
-            w.boolean(b)
-        return w.getvalue()
+        return encode_record(self, self.FIELDS)
 
     @classmethod
     def decode(cls, data: bytes) -> "RequestResult":
-        r = Reader(data)
-        request_id = r.bytes_()
-        user_pk = r.bytes_()
-        resource_id = r.u32()
-        operation = r.u8()
-        access_list = tuple(r.boolean() for _ in range(N_OPERATIONS))
-        granted = r.boolean()
-        time = r.u64()
-        overridden = tuple(r.boolean() for _ in range(N_OPERATIONS))
-        r.expect_end()
-        return cls(
-            request_id=request_id,
-            user_pk=user_pk,
-            resource_id=resource_id,
-            operation=operation,
-            access_list=access_list,
-            granted=granted,
-            time=time,
-            overridden=overridden,
-        )
+        return decode_record(cls, data, cls.FIELDS)
 
 
 def run_authentication(
@@ -135,7 +116,6 @@ def run_authorization(
     rules: list[PriorityRule],
     verified: VerifiedRequestTx,
     request: AccessRequestTx,
-    state: LedgerState,
     now: int,
 ) -> RequestResult:
     """Model scores folded with priority rules into the final grant vector."""
@@ -174,15 +154,11 @@ class ContractRuntime:
     def fingerprint(self) -> bytes:
         return self._fingerprint
 
-    def authenticate(
-        self, tx: AccessRequestTx, state: LedgerState, now: int
-    ) -> tuple[VerifiedRequestTx | None, str | None]:
+    def authenticate(self, tx: AccessRequestTx, state: LedgerState) -> tuple[VerifiedRequestTx | None, str | None]:
         return run_authentication(tx, state)
 
-    def authorize(
-        self, verified: VerifiedRequestTx, request: AccessRequestTx, state: LedgerState, now: int
-    ) -> RequestResult:
-        return run_authorization(self.model, self.rules, verified, request, state, now)
+    def authorize(self, verified: VerifiedRequestTx, request: AccessRequestTx, now: int) -> RequestResult:
+        return run_authorization(self.model, self.rules, verified, request, now)
 
 
 # -- delivery envelope -----------------------------------------------------------

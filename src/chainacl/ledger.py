@@ -160,11 +160,9 @@ class ContractHooks(Protocol):
 
     def fingerprint(self) -> bytes: ...
 
-    def authenticate(
-        self, tx: AccessRequestTx, state: "LedgerState", now: int
-    ) -> tuple[VerifiedRequestTx | None, str | None]: ...
+    def authenticate(self, tx: AccessRequestTx, state: "LedgerState") -> tuple[VerifiedRequestTx | None, str | None]: ...
 
-    def authorize(self, verified: VerifiedRequestTx, request: AccessRequestTx, state: "LedgerState", now: int): ...
+    def authorize(self, verified: VerifiedRequestTx, request: AccessRequestTx, now: int): ...
 
 
 class LedgerState:
@@ -417,7 +415,7 @@ def _execute_access_request(
     state.requests[rid] = record
     _log(state, outcome, record, "requested", height, tx.time)
 
-    verified, failure = runtime.authenticate(tx, state, now)
+    verified, failure = runtime.authenticate(tx, state)
     if verified is None:
         reason = failure or "unspecified"
         state.requests[rid] = replace(record, status="denied", deny_reason=reason)
@@ -426,7 +424,7 @@ def _execute_access_request(
 
     _log(state, outcome, record, "authenticated", height, now)
 
-    result = runtime.authorize(verified, tx, state, now)
+    result = runtime.authorize(verified, tx, now)
     outcome.results.append(result)
     decision = "granted" if result.granted else "denied"
     basis = "rule_override" if any(result.overridden) else "model"
@@ -569,6 +567,17 @@ def _engine_ok(state: LedgerState, runtime: ContractHooks | None, txs: Iterable[
     return None
 
 
+def _commit(scratch: LedgerState, block: Block, outcome: ApplyOutcome) -> None:
+    """Append ``block`` to the executed scratch state, drop its transactions
+    from the pool, and make the scratch state the outcome."""
+    scratch.chain.append(block)
+    included = {tx_id(tx) for tx in block.transactions}
+    scratch.pending_pool = [tx for tx in scratch.pending_pool if tx_id(tx) not in included]
+    scratch.pool_ids -= included
+    outcome.ok = True
+    outcome.state = scratch
+
+
 def apply_block(
     state: LedgerState,
     block: Block,
@@ -619,12 +628,7 @@ def apply_block(
         outcome.results = []
         return outcome
 
-    scratch.chain.append(block)
-    included = {tx_id(tx) for tx in block.transactions}
-    scratch.pending_pool = [tx for tx in scratch.pending_pool if tx_id(tx) not in included]
-    scratch.pool_ids -= included
-    outcome.ok = True
-    outcome.state = scratch
+    _commit(scratch, block, outcome)
     return outcome
 
 
@@ -639,7 +643,10 @@ def build_block(
 
     Returns (None, outcome) when there is nothing admissible to seal, the
     slot has not advanced past the tip, or this keypair does not lead the
-    current slot. The caller applies the sealed block itself.
+    current slot. On a seal, ``outcome.state`` is the state after the block,
+    exactly what ``apply_block`` on the input state would return, so the
+    leader adopts it instead of executing its own block a second time.
+    Skipped transactions stay in that state's pool.
     """
     outcome = ApplyOutcome(ok=False)
     tip = state.chain[-1]
@@ -681,7 +688,7 @@ def build_block(
         time=now,
         transactions=executed,
     )
-    outcome.ok = True
+    _commit(scratch, block, outcome)
     return block, outcome
 
 

@@ -1,7 +1,9 @@
 """Wire messages exchanged between nodes, canonical-encoded.
 
 The same encoding serves the in-memory simulator traces and the socket
-transport, so simulated and live runs speak an identical protocol.
+transport, so simulated and live runs speak an identical protocol. Each
+message declares its ``KIND`` byte and its ``FIELDS`` table; the encoding
+is the kind byte followed by the fields in table order.
 """
 
 from __future__ import annotations
@@ -9,18 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Union
 
-from ..blocks import Block, decode_block, encode_block
-from ..codec import Reader, Writer
-from ..transactions import Transaction, decode_transaction, encode_transaction
-
-_KIND_TX = 1
-_KIND_BLOCK = 2
-_KIND_TIP = 3
-_KIND_CHAIN_QUERY = 4
-_KIND_CHAIN = 5
-_KIND_RESULT = 6
-_KIND_REDEEM = 7
-_KIND_REDEEM_REPLY = 8
+from ..blocks import BLOCK, Block
+from ..codec import BOOLEAN, BYTES, STRING, U8, U64, Reader, Writer, counted, read_fields, write_fields
+from ..transactions import TRANSACTION, Transaction
 
 
 class MessageError(ValueError):
@@ -31,10 +24,16 @@ class MessageError(ValueError):
 class TxGossip:
     tx: Transaction
 
+    KIND = 1
+    FIELDS = (("tx", TRANSACTION),)
+
 
 @dataclass(frozen=True)
 class BlockAnnounce:
     block: Block
+
+    KIND = 2
+    FIELDS = (("block", BLOCK),)
 
 
 @dataclass(frozen=True)
@@ -42,15 +41,24 @@ class TipNotice:
     height: int
     tip_hash: bytes
 
+    KIND = 3
+    FIELDS = (("height", U64), ("tip_hash", BYTES))
+
 
 @dataclass(frozen=True)
 class ChainQuery:
     after_height: int
 
+    KIND = 4
+    FIELDS = (("after_height", U64),)
+
 
 @dataclass(frozen=True)
 class ChainReply:
     blocks: tuple[Block, ...]
+
+    KIND = 5
+    FIELDS = (("blocks", counted(BLOCK)),)
 
 
 @dataclass(frozen=True)
@@ -58,6 +66,9 @@ class ResultDelivery:
     """Validator-to-storage envelope with one encrypted RequestResult."""
 
     envelope: bytes
+
+    KIND = 6
+    FIELDS = (("envelope", BYTES),)
 
 
 @dataclass(frozen=True)
@@ -67,12 +78,18 @@ class RedeemCall:
     operation: int
     reply_to: str
 
+    KIND = 7
+    FIELDS = (("link_token", BYTES), ("nonce", BYTES), ("operation", U8), ("reply_to", STRING))
+
 
 @dataclass(frozen=True)
 class RedeemReply:
     ok: bool
     reason: str
     payload: bytes
+
+    KIND = 8
+    FIELDS = (("ok", BOOLEAN), ("reason", STRING), ("payload", BYTES))
 
 
 Message = Union[
@@ -86,67 +103,25 @@ Message = Union[
     RedeemReply,
 ]
 
+_TYPES = (TxGossip, BlockAnnounce, TipNotice, ChainQuery, ChainReply, ResultDelivery, RedeemCall, RedeemReply)
+_BY_KIND = {cls.KIND: cls for cls in _TYPES}
+
 
 def encode_message(msg: Message) -> bytes:
-    w = Writer()
-    if isinstance(msg, TxGossip):
-        w.u8(_KIND_TX)
-        w.bytes_(encode_transaction(msg.tx))
-    elif isinstance(msg, BlockAnnounce):
-        w.u8(_KIND_BLOCK)
-        w.bytes_(encode_block(msg.block))
-    elif isinstance(msg, TipNotice):
-        w.u8(_KIND_TIP)
-        w.u64(msg.height)
-        w.bytes_(msg.tip_hash)
-    elif isinstance(msg, ChainQuery):
-        w.u8(_KIND_CHAIN_QUERY)
-        w.u64(msg.after_height)
-    elif isinstance(msg, ChainReply):
-        w.u8(_KIND_CHAIN)
-        w.u32(len(msg.blocks))
-        for block in msg.blocks:
-            w.bytes_(encode_block(block))
-    elif isinstance(msg, ResultDelivery):
-        w.u8(_KIND_RESULT)
-        w.bytes_(msg.envelope)
-    elif isinstance(msg, RedeemCall):
-        w.u8(_KIND_REDEEM)
-        w.bytes_(msg.link_token)
-        w.bytes_(msg.nonce)
-        w.u8(msg.operation)
-        w.string(msg.reply_to)
-    elif isinstance(msg, RedeemReply):
-        w.u8(_KIND_REDEEM_REPLY)
-        w.boolean(msg.ok)
-        w.string(msg.reason)
-        w.bytes_(msg.payload)
-    else:
+    if type(msg) not in _TYPES:
         raise MessageError(f"unknown message type {type(msg).__name__}")
+    w = Writer()
+    w.u8(msg.KIND)
+    write_fields(w, msg, msg.FIELDS)
     return w.getvalue()
 
 
 def decode_message(data: bytes) -> Message:
     r = Reader(data)
     kind = r.u8()
-    msg: Message
-    if kind == _KIND_TX:
-        msg = TxGossip(tx=decode_transaction(r.bytes_()))
-    elif kind == _KIND_BLOCK:
-        msg = BlockAnnounce(block=decode_block(r.bytes_()))
-    elif kind == _KIND_TIP:
-        msg = TipNotice(height=r.u64(), tip_hash=r.bytes_())
-    elif kind == _KIND_CHAIN_QUERY:
-        msg = ChainQuery(after_height=r.u64())
-    elif kind == _KIND_CHAIN:
-        msg = ChainReply(blocks=tuple(decode_block(r.bytes_()) for _ in range(r.u32())))
-    elif kind == _KIND_RESULT:
-        msg = ResultDelivery(envelope=r.bytes_())
-    elif kind == _KIND_REDEEM:
-        msg = RedeemCall(link_token=r.bytes_(), nonce=r.bytes_(), operation=r.u8(), reply_to=r.string())
-    elif kind == _KIND_REDEEM_REPLY:
-        msg = RedeemReply(ok=r.boolean(), reason=r.string(), payload=r.bytes_())
-    else:
+    cls = _BY_KIND.get(kind)
+    if cls is None:
         raise MessageError(f"unknown message kind {kind}")
+    values = read_fields(r, cls.FIELDS)
     r.expect_end()
-    return msg
+    return cls(**values)

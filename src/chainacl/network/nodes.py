@@ -136,21 +136,18 @@ class ValidatorCore:
 
     def on_tick(self, now: int) -> Outgoing:
         out: Outgoing = []
-        block, build_outcome = build_block(
-            self.state, self.keypair, now, self.runtime, self.provider
-        )
-        if build_outcome.skipped:
-            dropped = {tx_id(tx) for tx, _ in build_outcome.skipped}
-            for tx, why in build_outcome.skipped:
+        block, outcome = build_block(self.state, self.keypair, now, self.runtime, self.provider)
+        if outcome.state is not None:
+            self.state = outcome.state  # the sealed block, already executed
+        if outcome.skipped:
+            dropped = {tx_id(tx) for tx, _ in outcome.skipped}
+            for tx, why in outcome.skipped:
                 self.events.append(f"tx_drop id={tx_id(tx).hex()[:10]} reason={why}")
             self.state.pending_pool = [
                 tx for tx in self.state.pending_pool if tx_id(tx) not in dropped
             ]
             self.state.pool_ids -= dropped
         if block is not None:
-            outcome = apply_block(self.state, block, self.runtime, self.provider)
-            assert outcome.ok and outcome.state is not None, outcome.reason
-            self.state = outcome.state
             self.events.append(
                 f"seal h={block.height} hash={block_hash(block).hex()[:10]} txs={len(block.transactions)}"
             )

@@ -147,26 +147,17 @@ def dispatch_service(backend: ServiceBackend, request: dict) -> dict:
     """Serve one API request; never raises."""
     try:
         op = request.get("op")
-        if op == "status":
-            return _op_status(backend)
-        if op == "submit_tx":
-            return _op_submit(backend, request)
-        if op == "poll":
-            return _op_poll(backend, request)
-        if op == "logs":
-            return _op_logs(backend, request)
-        if op == "chain":
-            return _op_chain(backend, request)
-        if op == "redeem":
-            return _op_redeem(backend, request)
-        return _fail("usage", f"unknown op {op!r}")
+        handler = _OPS.get(op) if isinstance(op, str) else None
+        if handler is None:
+            return _fail("usage", f"unknown op {op!r}")
+        return handler(backend, request)
     except (ValueError, KeyError, TypeError) as exc:
         return _fail("usage", str(exc))
     except Exception as exc:  # pragma: no cover - defensive
         return _fail("unavailable", f"{type(exc).__name__}: {exc}")
 
 
-def _op_status(backend: ServiceBackend) -> dict:
+def _op_status(backend: ServiceBackend, request: dict) -> dict:
     state = backend.ledger_state()
     out = {"ok": True, "role": backend.role, "now": backend.now()}
     if state is not None:
@@ -278,3 +269,13 @@ def _op_redeem(backend: ServiceBackend, request: dict) -> dict:
     if not ok:
         return _fail("redeem_rejected", reason)
     return {"ok": True, "payload": payload.hex()}
+
+
+_OPS = {
+    "status": _op_status,
+    "submit_tx": _op_submit,
+    "poll": _op_poll,
+    "logs": _op_logs,
+    "chain": _op_chain,
+    "redeem": _op_redeem,
+}

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from pathlib import Path
 
-from .codec import Reader, Writer
+from .codec import BYTES, U64, decode_record, encode_record
 from .contracts import EnvelopeError, decrypt_request_result
 from .crypto import KeyPair, Provider, sha256
 from .ledger import LINK_LIFETIME
@@ -95,23 +95,18 @@ class LinkGrant:
     nonce: bytes
     issued_at: int
 
+    FIELDS = (("link_token", BYTES), ("nonce", BYTES), ("issued_at", U64))
+
     @property
     def expires_at(self) -> int:
         return self.issued_at + LINK_LIFETIME
 
     def encode(self) -> bytes:
-        w = Writer()
-        w.bytes_(self.link_token)
-        w.bytes_(self.nonce)
-        w.u64(self.issued_at)
-        return w.getvalue()
+        return encode_record(self, self.FIELDS)
 
     @classmethod
     def decode(cls, data: bytes) -> "LinkGrant":
-        r = Reader(data)
-        grant = cls(link_token=r.bytes_(), nonce=r.bytes_(), issued_at=r.u64())
-        r.expect_end()
-        return grant
+        return decode_record(cls, data, cls.FIELDS)
 
 
 def open_link_ciphertext(provider: Provider, user: KeyPair, ciphertext: bytes) -> LinkGrant:

@@ -1,5 +1,7 @@
 """The five ledger transaction types and their canonical wire encoding.
 
+Each type states its layout once, as a field table; the signing payload,
+the wire encoding, decoding and signature checks are all read off it.
 Signed variants carry a signature over the canonical encoding of all their
 payload fields (the signature itself excluded), so any post-signing edit is
 detectable. ``VerifiedRequestTx`` is the one unsigned variant: it is only
@@ -9,10 +11,10 @@ never accepted off the wire.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Union
 
-from .codec import CodecError, Reader, Writer
+from .codec import BYTES, U8, U64, CodecError, Reader, Writer, counted, inline, read_fields, write_fields
 from .crypto import KeyPair, Provider, sha256
 
 N_OPERATIONS = 4
@@ -57,6 +59,8 @@ class RequestInfo:
     operation: int
     request_id: bytes
 
+    FIELDS = (("resource_id", U64), ("operation", U8), ("request_id", BYTES))
+
     def __post_init__(self) -> None:
         if not 0 <= self.operation < N_OPERATIONS:
             raise TransactionError(f"operation index {self.operation} out of range [0,{N_OPERATIONS})")
@@ -65,14 +69,11 @@ class RequestInfo:
         if len(self.request_id) != REQUEST_ID_LEN:
             raise TransactionError(f"request_id must be {REQUEST_ID_LEN} bytes")
 
-    def encode_into(self, w: Writer) -> None:
-        w.u64(self.resource_id)
-        w.u8(self.operation)
-        w.bytes_(self.request_id)
 
-    @classmethod
-    def decode_from(cls, r: Reader) -> "RequestInfo":
-        return cls(resource_id=r.u64(), operation=r.u8(), request_id=r.bytes_())
+# Each transaction declares ``FIELDS``, its signed fields in wire order after
+# the tag byte; ``SIGNATURE``, the attribute whose bytes follow them on the
+# wire (None when unsigned); and ``SIGNER``, the attribute holding the public
+# key that signs (None when the storage key, passed in, signs).
 
 
 @dataclass(frozen=True)
@@ -85,14 +86,9 @@ class RegisterUserTx:
     admin_sig: bytes
 
     tag = TAG_REGISTER
-
-    def payload_bytes(self) -> bytes:
-        w = Writer()
-        w.u8(self.tag)
-        w.bytes_(self.admin_pk)
-        w.bytes_(self.user_pk)
-        w.u64(self.time)
-        return w.getvalue()
+    FIELDS = (("admin_pk", BYTES), ("user_pk", BYTES), ("time", U64))
+    SIGNATURE = "admin_sig"
+    SIGNER = "admin_pk"
 
 
 @dataclass(frozen=True)
@@ -105,14 +101,9 @@ class AccessRequestTx:
     user_sig: bytes
 
     tag = TAG_ACCESS_REQUEST
-
-    def payload_bytes(self) -> bytes:
-        w = Writer()
-        w.u8(self.tag)
-        w.bytes_(self.user_pk)
-        w.u64(self.time)
-        self.info.encode_into(w)
-        return w.getvalue()
+    FIELDS = (("user_pk", BYTES), ("time", U64), ("info", inline(RequestInfo)))
+    SIGNATURE = "user_sig"
+    SIGNER = "user_pk"
 
 
 @dataclass(frozen=True)
@@ -128,17 +119,13 @@ class LinkDeliveryTx:
     request_id: bytes
 
     tag = TAG_LINK_DELIVERY
+    FIELDS = (("ciphertext", BYTES), ("request_id", BYTES))
+    SIGNATURE = "storage_sig"
+    SIGNER = None
 
     def __post_init__(self) -> None:
         if len(self.request_id) != REQUEST_ID_LEN:
             raise TransactionError(f"request_id must be {REQUEST_ID_LEN} bytes")
-
-    def payload_bytes(self) -> bytes:
-        w = Writer()
-        w.u8(self.tag)
-        w.bytes_(self.ciphertext)
-        w.bytes_(self.request_id)
-        return w.getvalue()
 
 
 @dataclass(frozen=True)
@@ -151,14 +138,9 @@ class RedemptionLogTx:
     storage_sig: bytes
 
     tag = TAG_REDEMPTION_LOG
-
-    def payload_bytes(self) -> bytes:
-        w = Writer()
-        w.u8(self.tag)
-        w.bytes_(self.nonce)
-        w.u64(self.time)
-        w.bytes_(self.user_pk)
-        return w.getvalue()
+    FIELDS = (("nonce", BYTES), ("time", U64), ("user_pk", BYTES))
+    SIGNATURE = "storage_sig"
+    SIGNER = None
 
 
 @dataclass(frozen=True)
@@ -177,6 +159,9 @@ class VerifiedRequestTx:
     locally_derived: bool = field(default=False, compare=False, repr=False)
 
     tag = TAG_VERIFIED
+    FIELDS = (("time", U64), ("user_bits", counted(U8)), ("req_bits", counted(U8)), ("request_id", BYTES))
+    SIGNATURE = None
+    SIGNER = None
 
     def __post_init__(self) -> None:
         if len(self.user_bits) != USER_BITS_WIDTH:
@@ -188,19 +173,6 @@ class VerifiedRequestTx:
         if len(self.request_id) != REQUEST_ID_LEN:
             raise TransactionError(f"request_id must be {REQUEST_ID_LEN} bytes")
 
-    def payload_bytes(self) -> bytes:
-        w = Writer()
-        w.u8(self.tag)
-        w.u64(self.time)
-        w.u32(len(self.user_bits))
-        for b in self.user_bits:
-            w.u8(b)
-        w.u32(len(self.req_bits))
-        for b in self.req_bits:
-            w.u8(b)
-        w.bytes_(self.request_id)
-        return w.getvalue()
-
 
 Transaction = Union[
     RegisterUserTx,
@@ -210,32 +182,42 @@ Transaction = Union[
     VerifiedRequestTx,
 ]
 
+# tag -> (class, wire table: the signed fields, then the signature)
+_WIRE = {
+    cls.tag: (cls, cls.FIELDS + (((cls.SIGNATURE, BYTES),) if cls.SIGNATURE else ()))
+    for cls in (RegisterUserTx, AccessRequestTx, LinkDeliveryTx, RedemptionLogTx, VerifiedRequestTx)
+}
+
+
+def payload_bytes(tx: Transaction) -> bytes:
+    """The signed bytes: the tag and every field but the signature."""
+    w = Writer()
+    w.u8(tx.tag)
+    write_fields(w, tx, tx.FIELDS)
+    return w.getvalue()
+
 
 # --- construction ------------------------------------------------------------
 
 
+def _signed(provider: Provider, key: KeyPair, tx):
+    return replace(tx, **{tx.SIGNATURE: provider.sign(key.secret_key, payload_bytes(tx))})
+
+
 def build_register_user_tx(provider: Provider, admin: KeyPair, user_pk: bytes, time: int) -> RegisterUserTx:
-    tx = RegisterUserTx(admin_pk=admin.public_key, user_pk=user_pk, time=time, admin_sig=b"")
-    sig = provider.sign(admin.secret_key, tx.payload_bytes())
-    return RegisterUserTx(admin_pk=admin.public_key, user_pk=user_pk, time=time, admin_sig=sig)
+    return _signed(provider, admin, RegisterUserTx(admin_pk=admin.public_key, user_pk=user_pk, time=time, admin_sig=b""))
 
 
 def build_access_request_tx(provider: Provider, user: KeyPair, info: RequestInfo, time: int) -> AccessRequestTx:
-    tx = AccessRequestTx(user_pk=user.public_key, time=time, info=info, user_sig=b"")
-    sig = provider.sign(user.secret_key, tx.payload_bytes())
-    return AccessRequestTx(user_pk=user.public_key, time=time, info=info, user_sig=sig)
+    return _signed(provider, user, AccessRequestTx(user_pk=user.public_key, time=time, info=info, user_sig=b""))
 
 
 def build_link_delivery_tx(provider: Provider, storage: KeyPair, ciphertext: bytes, request_id: bytes) -> LinkDeliveryTx:
-    tx = LinkDeliveryTx(ciphertext=ciphertext, storage_sig=b"", request_id=request_id)
-    sig = provider.sign(storage.secret_key, tx.payload_bytes())
-    return LinkDeliveryTx(ciphertext=ciphertext, storage_sig=sig, request_id=request_id)
+    return _signed(provider, storage, LinkDeliveryTx(ciphertext=ciphertext, storage_sig=b"", request_id=request_id))
 
 
 def build_redemption_log_tx(provider: Provider, storage: KeyPair, nonce: bytes, time: int, user_pk: bytes) -> RedemptionLogTx:
-    tx = RedemptionLogTx(nonce=nonce, time=time, user_pk=user_pk, storage_sig=b"")
-    sig = provider.sign(storage.secret_key, tx.payload_bytes())
-    return RedemptionLogTx(nonce=nonce, time=time, user_pk=user_pk, storage_sig=sig)
+    return _signed(provider, storage, RedemptionLogTx(nonce=nonce, time=time, user_pk=user_pk, storage_sig=b""))
 
 
 # --- signature verification ---------------------------------------------------
@@ -248,85 +230,46 @@ def verify_transaction_signature(provider: Provider, tx: Transaction, storage_pk
     carried in the transaction; pass ``storage_pk`` to check them (without
     it they fail). Verified transactions pass only when locally derived.
     """
-    if isinstance(tx, RegisterUserTx):
-        return provider.verify(tx.admin_pk, tx.payload_bytes(), tx.admin_sig)
-    if isinstance(tx, AccessRequestTx):
-        return provider.verify(tx.user_pk, tx.payload_bytes(), tx.user_sig)
-    if isinstance(tx, (LinkDeliveryTx, RedemptionLogTx)):
-        if storage_pk is None:
-            return False
-        return provider.verify(storage_pk, tx.payload_bytes(), tx.storage_sig)
-    if isinstance(tx, VerifiedRequestTx):
+    if tx.SIGNATURE is None:
         return tx.locally_derived
-    return False
+    signer = getattr(tx, tx.SIGNER) if tx.SIGNER else storage_pk
+    if signer is None:
+        return False
+    return provider.verify(signer, payload_bytes(tx), getattr(tx, tx.SIGNATURE))
 
 
 # --- wire encoding -------------------------------------------------------------
 
 
 def encode_transaction(tx: Transaction) -> bytes:
-    """Full canonical encoding: payload fields followed by the signature."""
+    """Full canonical encoding: tag, payload fields, then the signature."""
     w = Writer()
-    w.raw(tx.payload_bytes())
-    if isinstance(tx, RegisterUserTx):
-        w.bytes_(tx.admin_sig)
-    elif isinstance(tx, AccessRequestTx):
-        w.bytes_(tx.user_sig)
-    elif isinstance(tx, (LinkDeliveryTx, RedemptionLogTx)):
-        w.bytes_(tx.storage_sig)
-    elif isinstance(tx, VerifiedRequestTx):
-        pass
-    else:  # pragma: no cover - union is closed
-        raise TransactionError(f"unknown transaction type {type(tx)!r}")
+    w.u8(tx.tag)
+    write_fields(w, tx, _WIRE[tx.tag][1])
     return w.getvalue()
 
 
 def decode_transaction(data: bytes) -> Transaction:
     r = Reader(data)
-    tx = decode_transaction_from(r)
-    r.expect_end()
-    return tx
-
-
-def decode_transaction_from(r: Reader) -> Transaction:
     tag = r.u8()
-    if tag == TAG_REGISTER:
-        admin_pk = r.bytes_()
-        user_pk = r.bytes_()
-        time = r.u64()
-        sig = r.bytes_()
-        return RegisterUserTx(admin_pk=admin_pk, user_pk=user_pk, time=time, admin_sig=sig)
-    if tag == TAG_ACCESS_REQUEST:
-        user_pk = r.bytes_()
-        time = r.u64()
-        info = RequestInfo.decode_from(r)
-        sig = r.bytes_()
-        return AccessRequestTx(user_pk=user_pk, time=time, info=info, user_sig=sig)
-    if tag == TAG_LINK_DELIVERY:
-        ciphertext = r.bytes_()
-        request_id = r.bytes_()
-        sig = r.bytes_()
-        return LinkDeliveryTx(ciphertext=ciphertext, storage_sig=sig, request_id=request_id)
-    if tag == TAG_REDEMPTION_LOG:
-        nonce = r.bytes_()
-        time = r.u64()
-        user_pk = r.bytes_()
-        sig = r.bytes_()
-        return RedemptionLogTx(nonce=nonce, time=time, user_pk=user_pk, storage_sig=sig)
-    if tag == TAG_VERIFIED:
-        time = r.u64()
-        n_user = r.u32()
-        user_bits = tuple(r.u8() for _ in range(n_user))
-        n_req = r.u32()
-        req_bits = tuple(r.u8() for _ in range(n_req))
-        request_id = r.bytes_()
-        return VerifiedRequestTx(time=time, user_bits=user_bits, req_bits=req_bits, request_id=request_id)
-    raise CodecError(f"unknown transaction tag {tag}")
+    if tag not in _WIRE:
+        raise CodecError(f"unknown transaction tag {tag}")
+    cls, fields = _WIRE[tag]
+    values = read_fields(r, fields)
+    r.expect_end()
+    return cls(**values)
 
 
 def tx_id(tx: Transaction) -> bytes:
     """32-byte identity of a transaction: hash of its canonical encoding."""
     return sha256(encode_transaction(tx))
+
+
+# a transaction carried inside another record: its encoding, length-prefixed
+TRANSACTION = (
+    lambda w, tx: w.bytes_(encode_transaction(tx)),
+    lambda r: decode_transaction(r.bytes_()),
+)
 
 
 # --- human-readable rendering ---------------------------------------------------

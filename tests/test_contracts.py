@@ -117,7 +117,7 @@ def test_runtime_authentication_leaves_signature_to_the_ledger(p, actors, state)
     zeroed = AccessRequestTx(
         user_pk=good.user_pk, time=good.time, info=good.info, user_sig=b"\x00" * 64
     )
-    verified, failure = ContractRuntime(zero_model(), []).authenticate(zeroed, state, now=10)
+    verified, failure = ContractRuntime(zero_model(), []).authenticate(zeroed, state)
     assert failure is None
     assert isinstance(verified, VerifiedRequestTx)
     assert verified.request_id == good.info.request_id
@@ -146,7 +146,7 @@ def test_authentication_failure_returns_no_tx(p, actors, state):
 def test_authorization_model_only(p, actors, state):
     tx = _request(p, actors, op=2)
     verified, _ = run_authentication(tx, state)
-    result = run_authorization(zero_model(), [], verified, tx, state, now=10)
+    result = run_authorization(zero_model(), [], verified, tx, now=10)
     # zero model scores 0.5 everywhere, threshold grants
     assert result.access_list == (True,) * N_OPERATIONS
     assert result.granted is True
@@ -158,7 +158,7 @@ def test_authorization_rule_override(p, actors, state):
     tx = _request(p, actors, op=2)
     verified, _ = run_authentication(tx, state)
     deny_all = [PriorityRule(10, None, None, None, DENY)]
-    result = run_authorization(zero_model(), deny_all, verified, tx, state, now=10)
+    result = run_authorization(zero_model(), deny_all, verified, tx, now=10)
     assert result.granted is False
     assert result.access_list == (False,) * N_OPERATIONS
     assert result.overridden == (True,) * N_OPERATIONS
@@ -171,7 +171,7 @@ def test_authorization_requires_local_derivation(p, actors, state):
 
     wire_copy = decode_transaction(encode_transaction(verified))
     with pytest.raises(ContractError):
-        run_authorization(zero_model(), [], wire_copy, tx, state, now=10)
+        run_authorization(zero_model(), [], wire_copy, tx, now=10)
 
 
 def test_runtime_truth_table(p, actors, state):
@@ -190,7 +190,7 @@ def test_runtime_truth_table(p, actors, state):
         (deny_model, [PriorityRule(9, None, None, None, DENY)], False, False),
     ]
     for model, rules, want_grant, want_override in cases:
-        result = run_authorization(model, rules, verified, tx, state, now=10)
+        result = run_authorization(model, rules, verified, tx, now=10)
         assert result.granted is want_grant
         assert result.overridden[0] is want_override
 

@@ -553,3 +553,58 @@ def test_replay_rejects_forged_genesis(config):
         replay_chain([drifted])
     with pytest.raises(LedgerError):
         replay_chain([])
+
+
+def test_leader_adopts_the_state_it_sealed(p, actors):
+    """``build_block``'s ``outcome.state`` equals ``apply_block`` of the sealed
+    block on the parent state, over a seeded run with model grants, rule
+    denials, unregistered senders, link deliveries, redemptions, expiries
+    and a skipped stale request."""
+    rng = random.Random(11)
+    runtime = ContractRuntime(zero_model(), [PriorityRule(5, None, 2, None, DENY)])
+    config = GenesisConfig(
+        admin_pks=(actors["admin"].public_key,),
+        validators=tuple(v.public_key for v in actors["validators"]),
+        storage_pk=actors["storage"].public_key,
+        engine_fingerprint=runtime.fingerprint(),
+    )
+    leaders = {v.public_key: v for v in actors["validators"]}
+    users, ghost = actors["users"][:3], actors["users"][3]
+    st = genesis(config)
+    pending = [build_register_user_tx(p, actors["admin"], u.public_key, time=1) for u in users]
+    now, seals, skips, links = 1, 0, 0, []
+    for step in range(40):
+        for tx in pending:
+            assert submit_to_pool(st, tx, now=now, provider=p) is None
+        pending = []
+        if step == 5:  # pooled fresh, stale by the time it is sealed
+            stale = build_access_request_tx(p, users[0], RequestInfo(1, 0, b"\xee" * 16), time=now)
+            assert submit_to_pool(st, stale, now=now, provider=p) is None
+            now += FRESHNESS_WINDOW + 1
+        block, outcome = build_block(st, leaders[slot_leader(now, config)], now, runtime, provider=p)
+        skips += len(outcome.skipped)
+        if block is not None:
+            applied = apply_block(st, block, runtime, provider=p)
+            assert applied.ok, applied.reason
+            adopted = outcome.state
+            assert state_digest(adopted) == state_digest(applied.state)
+            assert adopted.access_log == applied.state.access_log
+            assert adopted.pending_pool == applied.state.pending_pool
+            assert adopted.pool_ids == applied.state.pool_ids
+            assert outcome.results == applied.results and outcome.entries == applied.entries
+            st, seals = adopted, seals + 1
+        for record in st.requests.values():
+            if record.status == "granted":
+                pending.append(build_link_delivery_tx(p, actors["storage"], rng.randbytes(24), record.request_id))
+            elif record.status == "link_issued" and record.request_id not in links:
+                links.append(record.request_id)
+                if rng.random() < 0.5:  # redeemed; the rest expire
+                    pending.append(build_redemption_log_tx(p, actors["storage"], rng.randbytes(16), now + 1, record.user_pk))
+        now += rng.choice((1, 1, 2, 90))
+        for _ in range(rng.randrange(3)):
+            sender = rng.choice(users + [ghost])
+            info = RequestInfo(rng.randrange(4), rng.randrange(4), rng.randbytes(16))
+            pending.append(build_access_request_tx(p, sender, info, time=now))
+    kinds = {e.kind for e in st.access_log}
+    assert kinds == set(LOG_KINDS), kinds
+    assert seals >= 20 and skips >= 1

@@ -6,12 +6,14 @@ import time
 import pytest
 
 from chainacl.blocks import make_genesis_block
+from chainacl.codec import CodecError
 from chainacl.crypto import Provider
 from chainacl.network.live import LiveNode, service_call
 from chainacl.network.messages import (
     BlockAnnounce,
     ChainQuery,
     ChainReply,
+    MessageError,
     RedeemCall,
     RedeemReply,
     ResultDelivery,
@@ -54,6 +56,15 @@ def test_block_messages_round_trip(fixtures):
     genesis = make_genesis_block(fixtures.config)
     for msg in (BlockAnnounce(block=genesis), ChainReply(blocks=(genesis,))):
         assert decode_message(encode_message(msg)) == msg
+
+
+def test_unknown_message_kind_and_type_raise_message_error():
+    with pytest.raises(MessageError):
+        decode_message(bytes([99]))
+    with pytest.raises(MessageError):
+        encode_message(object())
+    with pytest.raises(CodecError):
+        decode_message(encode_message(ChainQuery(after_height=1)) + b"\x00")
 
 
 def test_call_to_dead_port_raises():
@@ -203,3 +214,4 @@ def test_storage_node_service_surface(cluster):
         service_call(peers["s0"], {"op": "poll", "request_id": "00" * 16})["error"]
         == "not_supported"
     )
+

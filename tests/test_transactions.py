@@ -5,6 +5,7 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chainacl.codec import CodecError
 from chainacl.crypto import Provider
 from chainacl.transactions import (
     MAX_RESOURCE_ID,
@@ -221,7 +222,7 @@ def test_tx_id_is_stable(provider, keys):
 
 
 def test_decode_rejects_unknown_tag():
-    with pytest.raises(Exception):
+    with pytest.raises(CodecError):
         decode_transaction(b"\x99" + b"\x00" * 8)
 
 
