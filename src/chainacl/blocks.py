@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 
-from .codec import BYTES, U32, U64, counted, decode_record, encode_record, fixed, optional
+from .codec import BYTES, U32, U64, Memoized, Writer, counted, decode_record, encode_record, fixed, optional, write_fields
 from .crypto import DIGEST_LEN, KeyPair, Provider, sha256
 from .transactions import TRANSACTION, Transaction
 
@@ -74,7 +74,10 @@ _CONFIG = (lambda w, config: w.bytes_(config.encode()), lambda r: GenesisConfig.
 
 
 @dataclass(frozen=True)
-class Block:
+class Block(Memoized):
+    """A frozen block; its signing payload, wire encoding and hash are
+    computed once and cached (see ``codec.Memoized``)."""
+
     height: int
     prev_hash: bytes
     time: int
@@ -95,14 +98,22 @@ class Block:
 
     def signing_payload(self) -> bytes:
         """Canonical encoding of every field except the signature."""
-        return encode_record(self, self.FIELDS)
+        return self.memo("_memo_payload", lambda b: encode_record(b, b.FIELDS))
 
 
-_BLOCK_WIRE = Block.FIELDS + (("validator_sig", BYTES),)
+_SIGNATURE = (("validator_sig", BYTES),)
+_BLOCK_WIRE = Block.FIELDS + _SIGNATURE
 
 
 def encode_block(block: Block) -> bytes:
-    return encode_record(block, _BLOCK_WIRE)
+    return block.memo("_memo_wire", _wire)
+
+
+def _wire(block: Block) -> bytes:
+    w = Writer()
+    w.raw(block.signing_payload())
+    write_fields(w, block, _SIGNATURE)
+    return w.getvalue()
 
 
 def decode_block(data: bytes) -> Block:
@@ -110,7 +121,7 @@ def decode_block(data: bytes) -> Block:
 
 
 def block_hash(block: Block) -> bytes:
-    return sha256(encode_block(block))
+    return block.memo("_memo_hash", lambda b: sha256(encode_block(b)))
 
 
 # a block carried inside another record: its encoding, length-prefixed

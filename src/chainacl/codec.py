@@ -180,6 +180,32 @@ def read_fields(r: Reader, fields) -> dict:
     return {name: read(r) for name, (_, read) in fields}
 
 
+_MEMO_PREFIX = "_memo_"
+
+
+class Memoized:
+    """Base of frozen records that cache values derived from their fields,
+    such as an encoding or a hash.
+
+    ``memo`` keeps each value in the instance dict, outside the dataclass
+    fields, so ``==``, ``hash`` and ``repr`` never see it, a
+    ``dataclasses.replace`` copy computes its own, and pickling leaves it
+    out. A value is only ever computed from the fields, never taken from
+    received bytes.
+    """
+
+    def memo(self, key: str, compute):
+        """``compute(self)``, computed on first use; ``key`` starts with ``_memo_``."""
+        cache = self.__dict__
+        value = cache.get(key)
+        if value is None:
+            value = cache[key] = compute(self)
+        return value
+
+    def __getstate__(self):
+        return {k: v for k, v in self.__dict__.items() if not k.startswith(_MEMO_PREFIX)}
+
+
 def encode_record(obj, fields) -> bytes:
     """``obj``'s fields alone, in table order."""
     w = Writer()

@@ -14,6 +14,7 @@ genesis engine fingerprint pins down across replicas.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 from typing import Iterable, Protocol, Sequence
@@ -136,6 +137,9 @@ class RequestRecord:
     link_issued_at: int | None = None
     link_ciphertext: bytes = b""
     redeemed_at: int | None = None
+    # position of the request in execution order; orders the expiries of one
+    # sweep as the request map does. Derived, so not compared or encoded.
+    seq: int = field(default=0, compare=False, repr=False)
 
     def encode_into(self, w: Writer) -> None:
         w.bytes_(self.request_id)
@@ -169,8 +173,9 @@ class LedgerState:
     """Replayed view of the chain plus the node-local pending pool.
 
     Everything except ``pending_pool``/``pool_ids`` is consensus state and
-    feeds ``state_digest``. Values inside the maps are frozen records;
-    updates replace entries, so ``clone`` is a set of shallow copies.
+    feeds ``state_digest``; ``link_expiry`` is an index derived from
+    ``requests``. Values inside the maps are frozen records; updates replace
+    entries, so ``clone`` is a set of shallow copies.
     """
 
     def __init__(self, config: GenesisConfig):
@@ -185,6 +190,8 @@ class LedgerState:
         self.seen_tx_ids: set[bytes] = set()
         self.pending_pool: list[Transaction] = []
         self.pool_ids: set[bytes] = set()
+        # heap of (deadline, request seq, request_id), one per issued link
+        self.link_expiry: list[tuple[int, int, bytes]] = []
 
     # -- views ------------------------------------------------------------
 
@@ -226,6 +233,7 @@ class LedgerState:
         st.seen_tx_ids = set(self.seen_tx_ids)
         st.pending_pool = list(self.pending_pool)
         st.pool_ids = set(self.pool_ids)
+        st.link_expiry = list(self.link_expiry)
         return st
 
 
@@ -267,36 +275,24 @@ def validate_transaction(
 
     ``against_pool`` treats pool membership as a duplicate too; admission
     wants that, but block execution must judge pool transactions against
-    chain history alone or they would collide with themselves.
+    chain history alone or they would collide with themselves. A block
+    transaction in this node's pool keeps the signature check it passed at
+    admission: its ``tx_id`` covers every field and the signature, so the
+    bytes are the ones verified then, against the same genesis keys.
     """
     txid = tx_id(tx)
     if txid in state.seen_tx_ids or (against_pool and txid in state.pool_ids):
         return REJECT_DUPLICATE
-
-    if isinstance(tx, RegisterUserTx):
-        if tx.admin_pk not in state.admin_pks:
-            return REJECT_UNAUTHORIZED
-        if not verify_transaction_signature(provider, tx):
-            return REJECT_BAD_SIGNATURE
-        if not _fresh(tx.time, now):
-            return REJECT_STALE_TIME
-        if state.is_registered(tx.user_pk):
-            return REJECT_DUPLICATE_USER
-        return None
-
-    if isinstance(tx, AccessRequestTx):
-        # the only signature and freshness check a request gets; registration
-        # is deliberately not checked here, the authentication contract
-        # decides that and logs the denial
-        if not verify_transaction_signature(provider, tx):
-            return REJECT_BAD_SIGNATURE
-        if not _fresh(tx.time, now):
-            return REJECT_STALE_TIME
-        return None
+    if isinstance(tx, VerifiedRequestTx):
+        return REJECT_INTERNAL_ONLY  # contract output; never admitted from the network
+    if isinstance(tx, RegisterUserTx) and tx.admin_pk not in state.admin_pks:
+        return REJECT_UNAUTHORIZED
+    if (against_pool or txid not in state.pool_ids) and not verify_transaction_signature(
+        provider, tx, storage_pk=state.storage_pk
+    ):
+        return REJECT_BAD_SIGNATURE
 
     if isinstance(tx, LinkDeliveryTx):
-        if not verify_transaction_signature(provider, tx, storage_pk=state.storage_pk):
-            return REJECT_BAD_SIGNATURE
         record = state.requests.get(tx.request_id)
         if record is None or record.status == "pending":
             return REJECT_UNKNOWN_REQUEST
@@ -304,11 +300,13 @@ def validate_transaction(
             return REJECT_DUPLICATE if record.status in ("link_issued", "redeemed") else REJECT_UNKNOWN_REQUEST
         return None
 
+    if not _fresh(tx.time, now):
+        return REJECT_STALE_TIME
+
+    if isinstance(tx, RegisterUserTx):
+        return REJECT_DUPLICATE_USER if state.is_registered(tx.user_pk) else None
+
     if isinstance(tx, RedemptionLogTx):
-        if not verify_transaction_signature(provider, tx, storage_pk=state.storage_pk):
-            return REJECT_BAD_SIGNATURE
-        if not _fresh(tx.time, now):
-            return REJECT_STALE_TIME
         existing = state.nonce_registry.get(tx.nonce)
         if existing is not None and existing.redeemed:
             return REJECT_REPLAYED_NONCE
@@ -316,8 +314,10 @@ def validate_transaction(
             return REJECT_UNKNOWN_REQUEST
         return None
 
-    # contract output; never admitted from the network
-    return REJECT_INTERNAL_ONLY
+    # an access request: its signature and freshness are the only checks it
+    # gets here; registration is deliberately not checked, the authentication
+    # contract decides that and logs the denial
+    return None
 
 
 def _register(state: LedgerState, tx: RegisterUserTx) -> None:
@@ -379,15 +379,21 @@ def _log(
 
 
 def _sweep_expired(state: LedgerState, outcome: ApplyOutcome, height: int, now: int) -> None:
-    for rid, record in list(state.requests.items()):
-        if record.status != "link_issued":
-            continue
-        assert record.link_issued_at is not None
-        if now <= record.link_issued_at + LINK_LIFETIME:
-            continue
-        state.requests[rid] = replace(record, status="expired")
+    """Expire every issued link whose lifetime ended before ``now``, logging
+    them in request order. Index entries whose link was since redeemed (or
+    issued again) are dropped as they come due."""
+    due: dict[int, RequestRecord] = {}
+    heap = state.link_expiry
+    while heap and heap[0][0] < now:
+        deadline, seq, rid = heapq.heappop(heap)
+        record = state.requests[rid]
+        if record.status == "link_issued" and record.link_issued_at + LINK_LIFETIME == deadline:
+            due[seq] = record
+    for seq in sorted(due):
+        record = due[seq]
+        state.requests[record.request_id] = replace(record, status="expired")
         queue = state.outstanding_links.get(record.user_pk, ())
-        state.outstanding_links[record.user_pk] = tuple(q for q in queue if q != rid)
+        state.outstanding_links[record.user_pk] = tuple(q for q in queue if q != record.request_id)
         _log(state, outcome, record, "expired", height, now, "denied", "link_lifetime_elapsed")
 
 
@@ -405,12 +411,14 @@ def _execute_access_request(
     passed (the block must carry it immediately after the request).
     """
     rid = tx.info.request_id
+    earlier = state.requests.get(rid)  # a reused request id keeps its place
     record = RequestRecord(
         request_id=rid,
         user_pk=tx.user_pk,
         resource_id=tx.info.resource_id,
         operation=tx.info.operation,
         submitted_at=tx.time,
+        seq=len(state.requests) if earlier is None else earlier.seq,
     )
     state.requests[rid] = record
     _log(state, outcome, record, "requested", height, tx.time)
@@ -453,6 +461,7 @@ def _execute_link_delivery(
     )
     queue = state.outstanding_links.get(record.user_pk, ())
     state.outstanding_links[record.user_pk] = queue + (tx.request_id,)
+    heapq.heappush(state.link_expiry, (now + LINK_LIFETIME, record.seq, tx.request_id))
     _log(state, outcome, record, "link_issued", height, now, "granted")
 
 

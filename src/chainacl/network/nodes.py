@@ -9,7 +9,7 @@ identical in tests and live runs. Cores append human-readable strings to
 
 from __future__ import annotations
 
-from ..blocks import Block, block_hash
+from ..blocks import Block, block_hash, encode_block
 from ..crypto import KeyPair, Provider
 from ..ledger import (
     ContractHooks,
@@ -117,6 +117,11 @@ class ValidatorCore:
 
     def _consider_chain(self, blocks: tuple[Block, ...]) -> None:
         if not blocks:
+            return
+        if encode_block(blocks[0]) != encode_block(self.state.chain[0]):
+            # another network's chain: adopting it would replace this node's
+            # validators, admins and storage key
+            self.events.append("chain_reject reason=foreign_genesis")
             return
         mine = self.state.chain
         if fork_choice([mine, list(blocks)]) is mine:

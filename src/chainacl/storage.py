@@ -13,6 +13,7 @@ redemption to the user the link was issued to.
 
 from __future__ import annotations
 
+import heapq
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -133,6 +134,7 @@ class StorageService:
         self._rng = random.Random(seed)
         self.resources: dict[int, Resource] = {}
         self.links: dict[bytes, AccessLink] = {}
+        self._expiry: list[tuple[int, bytes]] = []  # heap of (expires_at, link_token)
         self.links_by_nonce: dict[bytes, bytes] = {}
         self.served_requests: set[bytes] = set()
         self.denials: list[DenialRecord] = []
@@ -198,6 +200,7 @@ class StorageService:
             request_id=result.request_id,
         )
         self.links[link.link_token] = link
+        heapq.heappush(self._expiry, (link.expires_at, link.link_token))
         self.links_by_nonce[link.nonce] = link.link_token
         grant = LinkGrant(link_token=link.link_token, nonce=link.nonce, issued_at=now)
         ciphertext = self.provider.encrypt(result.user_pk, grant.encode())
@@ -235,12 +238,16 @@ class StorageService:
         return resource.payload, log_tx
 
     def expire_links(self, now: int) -> int:
-        """Mark overdue links unredeemable; returns how many just expired."""
+        """Mark overdue links unredeemable; returns how many just expired.
+
+        Only links due by ``now`` are visited. A link leaves the heap once
+        due, which is final: redeemed and expired are never cleared.
+        """
         count = 0
-        for link in self.links.values():
-            if link.redeemed or link.expired:
-                continue
-            if link.expires_at < now:
+        while self._expiry and self._expiry[0][0] < now:
+            _, token = heapq.heappop(self._expiry)
+            link = self.links[token]
+            if not (link.redeemed or link.expired):
                 link.expired = True
                 count += 1
         return count

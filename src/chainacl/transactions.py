@@ -7,6 +7,9 @@ payload fields (the signature itself excluded), so any post-signing edit is
 detectable. ``VerifiedRequestTx`` is the one unsigned variant: it is only
 ever produced by local contract execution during block application and is
 never accepted off the wire.
+
+Transactions are frozen, so each caches its signing payload, wire encoding
+and ``tx_id`` on first use (see ``codec.Memoized``).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Union
 
-from .codec import BYTES, U8, U64, CodecError, Reader, Writer, counted, inline, read_fields, write_fields
+from .codec import BYTES, U8, U64, CodecError, Memoized, Reader, Writer, inline, read_fields, write_fields
 from .crypto import KeyPair, Provider, sha256
 
 N_OPERATIONS = 4
@@ -77,7 +80,7 @@ class RequestInfo:
 
 
 @dataclass(frozen=True)
-class RegisterUserTx:
+class RegisterUserTx(Memoized):
     """Admin-signed registration of a new user public key."""
 
     admin_pk: bytes
@@ -92,7 +95,7 @@ class RegisterUserTx:
 
 
 @dataclass(frozen=True)
-class AccessRequestTx:
+class AccessRequestTx(Memoized):
     """User-signed request for an operation on a resource."""
 
     user_pk: bytes
@@ -107,7 +110,7 @@ class AccessRequestTx:
 
 
 @dataclass(frozen=True)
-class LinkDeliveryTx:
+class LinkDeliveryTx(Memoized):
     """Storage-signed delivery of an access link, encrypted to the requester.
 
     The ciphertext holds (link token, nonce, issue time); request_id rides in
@@ -129,7 +132,7 @@ class LinkDeliveryTx:
 
 
 @dataclass(frozen=True)
-class RedemptionLogTx:
+class RedemptionLogTx(Memoized):
     """Storage-signed on-chain record that a nonce was redeemed by a user."""
 
     nonce: bytes
@@ -143,8 +146,13 @@ class RedemptionLogTx:
     SIGNER = None
 
 
+# a bit vector: a u32 count, then one u8 per bit; the layout of
+# ``counted(U8)``, which is that of ``BYTES`` over the bits, written in one piece
+_BITS = (lambda w, bits: w.bytes_(bytes(bits)), lambda r: tuple(r.bytes_()))
+
+
 @dataclass(frozen=True)
-class VerifiedRequestTx:
+class VerifiedRequestTx(Memoized):
     """Authentication-contract output: the request in binary-encoded form.
 
     Unsigned by design. A ``VerifiedRequestTx`` is trusted only when the
@@ -159,7 +167,7 @@ class VerifiedRequestTx:
     locally_derived: bool = field(default=False, compare=False, repr=False)
 
     tag = TAG_VERIFIED
-    FIELDS = (("time", U64), ("user_bits", counted(U8)), ("req_bits", counted(U8)), ("request_id", BYTES))
+    FIELDS = (("time", U64), ("user_bits", _BITS), ("req_bits", _BITS), ("request_id", BYTES))
     SIGNATURE = None
     SIGNER = None
 
@@ -191,6 +199,10 @@ _WIRE = {
 
 def payload_bytes(tx: Transaction) -> bytes:
     """The signed bytes: the tag and every field but the signature."""
+    return tx.memo("_memo_payload", _payload)
+
+
+def _payload(tx: Transaction) -> bytes:
     w = Writer()
     w.u8(tx.tag)
     write_fields(w, tx, tx.FIELDS)
@@ -243,9 +255,13 @@ def verify_transaction_signature(provider: Provider, tx: Transaction, storage_pk
 
 def encode_transaction(tx: Transaction) -> bytes:
     """Full canonical encoding: tag, payload fields, then the signature."""
+    return tx.memo("_memo_wire", _wire)
+
+
+def _wire(tx: Transaction) -> bytes:
     w = Writer()
-    w.u8(tx.tag)
-    write_fields(w, tx, _WIRE[tx.tag][1])
+    w.raw(payload_bytes(tx))
+    write_fields(w, tx, _WIRE[tx.tag][1][len(tx.FIELDS) :])  # the signature, if any
     return w.getvalue()
 
 
@@ -262,6 +278,10 @@ def decode_transaction(data: bytes) -> Transaction:
 
 def tx_id(tx: Transaction) -> bytes:
     """32-byte identity of a transaction: hash of its canonical encoding."""
+    return tx.memo("_memo_id", _identity)
+
+
+def _identity(tx: Transaction) -> bytes:
     return sha256(encode_transaction(tx))
 
 

@@ -1,13 +1,16 @@
 """Command line: exit codes, init output, and the client verbs end to end."""
 
+import os
 import re
 import shutil
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 
+import chainacl
 from chainacl.blocks import GenesisConfig
 from chainacl.cli import (
     EXIT_FAILED,
@@ -32,16 +35,25 @@ def run_cli(*argv):
     return main(list(argv))
 
 
+def run_python(*args):
+    """This interpreter in a child process that imports the same ``chainacl``
+    as the tests, whether or not ``src`` is on the caller's PYTHONPATH."""
+    src = str(Path(chainacl.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    return subprocess.run(
+        [sys.executable, *args],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+
+
 # -- argument handling ----------------------------------------------------------
 
 
 def test_help_exits_zero():
-    proc = subprocess.run(
-        [sys.executable, "-m", "chainacl", "--help"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_python("-m", "chainacl", "--help")
     assert proc.returncode == 0
     for verb in ("init", "node", "register-user", "redeem", "scenario", "model"):
         assert verb in proc.stdout
@@ -60,12 +72,7 @@ def test_console_script_help():
 
 
 def test_unknown_command_is_usage_error():
-    proc = subprocess.run(
-        [sys.executable, "-c", "from chainacl.cli import main; raise SystemExit(main(['frobnicate']))"],
-        capture_output=True,
-        text=True,
-        timeout=60,
-    )
+    proc = run_python("-c", "from chainacl.cli import main; raise SystemExit(main(['frobnicate']))")
     assert proc.returncode == EXIT_USAGE
 
 

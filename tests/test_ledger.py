@@ -608,3 +608,92 @@ def test_leader_adopts_the_state_it_sealed(p, actors):
     kinds = {e.kind for e in st.access_log}
     assert kinds == set(LOG_KINDS), kinds
     assert seals >= 20 and skips >= 1
+
+
+class CountingProvider(Provider):
+    """A provider that counts signature verifications."""
+
+    def __init__(self, seed):
+        super().__init__(seed)
+        self.verifies = 0
+
+    def verify(self, *args):
+        self.verifies += 1
+        return super().verify(*args)
+
+
+def _leader_at(now, config, actors):
+    return next(v for v in actors["validators"] if v.public_key == slot_leader(now, config))
+
+
+def test_signature_reuse_is_keyed_to_the_admitted_bytes(seal_next, state, p, actors, runtime):
+    user, newcomer = actors["users"][0], actors["users"][1]
+    st = _registered(seal_next, state, p, actors, users=[user])
+
+    # (a) the fields of a pooled request under another, invalid signature
+    good = build_access_request_tx(p, user, RequestInfo(3, 1, b"\x51" * 16), time=2)
+    assert submit_to_pool(st, good, now=2, provider=p) is None
+    forged = AccessRequestTx(user_pk=good.user_pk, time=good.time, info=good.info, user_sig=b"\x00" * 64)
+    block = seal_block(p, _leader_at(2, st.config, actors), st.height + 1, st.tip_hash, 2, (forged,))
+    outcome = apply_block(st, block, runtime, provider=p)
+    assert not outcome.ok and outcome.reason.startswith(REJECT_BAD_SIGNATURE + ":"), outcome.reason
+
+    # (b) sealing and applying a block of pooled transactions verifies only
+    # the block signature
+    assert submit_to_pool(st, build_register_user_tx(p, actors["admin"], newcomer.public_key, time=2), now=2) is None
+    counter = CountingProvider(5)
+    block, sealed = build_block(st, _leader_at(2, st.config, actors), 2, runtime, provider=counter)
+    assert block is not None and not sealed.skipped and counter.verifies == 0
+    applied = apply_block(st, block, runtime, provider=counter)
+    assert applied.ok and counter.verifies == 1
+    st = applied.state
+    delivery = build_link_delivery_tx(p, actors["storage"], b"link", good.info.request_id)
+    assert submit_to_pool(st, delivery, now=3, provider=p) is None
+    block, _ = build_block(st, _leader_at(3, st.config, actors), 3, runtime, provider=p)
+    counter.verifies = 0
+    applied = apply_block(st, block, runtime, provider=counter)
+    assert applied.ok and counter.verifies == 1
+
+    # (c) replay has no pool: every signed transaction and every block, once
+    chain = applied.state.chain
+    counter.verifies = 0
+    replay_chain(chain, runtime, provider=counter)
+    signed = sum(tx.SIGNATURE is not None for block in chain[1:] for tx in block.transactions)
+    assert signed == 4 and counter.verifies == signed + len(chain) - 1
+
+
+def test_expiry_sweep_order_and_deadline(seal_next, state, p, actors, runtime):
+    """Links expire in the first block later than issue time + lifetime, and
+    one sweep logs them in request order whatever order they were issued in;
+    a redeemed link never expires."""
+    holder, redeemer = actors["users"][0], actors["users"][1]
+    st = _registered(seal_next, state, p, actors, users=[holder, redeemer])
+    first, second, kept = b"\x61" * 16, b"\x62" * 16, b"\x63" * 16
+    st = seal_next(st, p, actors, runtime, 2, [
+        build_access_request_tx(p, holder, RequestInfo(1, 0, first), time=2),
+        build_access_request_tx(p, holder, RequestInfo(1, 0, second), time=2),
+        build_access_request_tx(p, redeemer, RequestInfo(1, 0, kept), time=2),
+    ])
+    def link(rid):
+        return build_link_delivery_tx(p, actors["storage"], b"link " + rid, rid)
+
+    st = seal_next(st, p, actors, runtime, 3, [link(second), link(kept)])
+    st = seal_next(st, p, actors, runtime, 4, [
+        link(first),
+        build_redemption_log_tx(p, actors["storage"], b"\x64" * 16, 4, redeemer.public_key),
+    ])
+    assert st.requests[kept].status == "redeemed"
+
+    late = 3 + LINK_LIFETIME  # the second link's deadline: not yet past it
+    more = iter(actors["users"][2:])
+
+    def register(now):  # something to seal
+        return [build_register_user_tx(p, actors["admin"], next(more).public_key, time=now)]
+
+    st = seal_next(st, p, actors, runtime, late, register(late))
+    assert query_access_log(st, kind="expired") == []
+    st = seal_next(st, p, actors, runtime, late + 2, register(late + 2))
+    swept = query_access_log(st, kind="expired")
+    assert [e.request_id for e in swept] == [first, second]
+    assert {e.block_height for e in swept} == {st.height}
+    assert st.requests[kept].status == "redeemed" and st.outstanding_links[holder.public_key] == ()

@@ -2,7 +2,11 @@
 
 import pytest
 
-from chainacl.blocks import ConfigurationError
+from chainacl.blocks import ConfigurationError, GenesisConfig, seal_block
+from chainacl.crypto import Provider
+from chainacl.ledger import apply_block, genesis, slot_leader
+from chainacl.network.messages import ChainReply
+from chainacl.network.nodes import ValidatorCore
 from chainacl.network.simulator import ADVERSARY_BEHAVIORS, NetworkConfig, World
 from chainacl.scenarios import build_world
 from chainacl.transactions import build_register_user_tx
@@ -175,3 +179,40 @@ def test_submit_transaction_autocreates_origin(fixtures):
     world.submit_transaction("walk-in", tx)
     assert "walk-in" in world.nodes
     assert world.nodes["walk-in"].role == "user"
+
+
+def _empty_chain(config, keys, length):
+    """``length`` empty blocks on ``config``'s genesis, each sealed by its slot's leader."""
+    state = genesis(config)
+    by_pk = {k.public_key: k for k in keys}
+    for now in range(1, length + 1):
+        block = seal_block(Provider(3), by_pk[slot_leader(now, config)], now, state.tip_hash, now, ())
+        state = apply_block(state, block).state
+    return tuple(state.chain)
+
+
+def test_validator_refuses_a_longer_chain_of_another_genesis(fixtures):
+    def fresh_v0():
+        return ValidatorCore(
+            name="v0", keypair=fixtures.validators[0], config=fixtures.config,
+            runtime=fixtures.runtime(), provider=Provider(1),
+            validator_names=("v0", "v1", "v2"), storage_name="s0",
+        )
+
+    rogue = Provider(seed=66)
+    attackers = [rogue.generate_keypair() for _ in range(3)]
+    foreign = GenesisConfig(
+        admin_pks=(attackers[0].public_key,),
+        validators=tuple(k.public_key for k in attackers),
+        storage_pk=attackers[1].public_key,
+        engine_fingerprint=fixtures.config.engine_fingerprint,
+    )
+    v0 = fresh_v0()
+    v0.handle(ChainReply(blocks=_empty_chain(foreign, attackers, 3)), "v1", now=4)
+    assert v0.events == ["chain_reject reason=foreign_genesis"]
+    assert v0.state.height == 0 and v0.state.config == fixtures.config
+
+    # a longer chain of the node's own genesis is still adopted
+    v0 = fresh_v0()
+    v0.handle(ChainReply(blocks=_empty_chain(fixtures.config, fixtures.validators, 2)), "v1", now=3)
+    assert v0.state.height == 2 and v0.events[-1].startswith("chain_adopt h=2")

@@ -1,5 +1,7 @@
 """Storage service: resources, link minting, single-use redemption."""
 
+import random
+
 import pytest
 
 from chainacl.contracts import RequestResult, encrypt_request_result
@@ -210,6 +212,35 @@ def test_expire_links_bulk(service, p, actors):
     assert service.expire_links(now=g2.expires_at) == 0
     assert service.expire_links(now=g2.expires_at + 1) == 1  # only the unredeemed one
     assert service.expire_links(now=g2.expires_at + 2) == 0  # already latched
+
+
+def test_expire_links_matches_a_full_scan(service, p, actors):
+    """Over a seeded mint/redeem/tick sequence (the clock sometimes steps
+    back), each call expires exactly the links a scan of every link would."""
+    rng = random.Random(62)
+    grants, now = [], 10
+    for _ in range(150):
+        action = rng.random()
+        if action < 0.35:
+            envelope = _granted_envelope(p, actors, rid=rng.randbytes(16), time=now)
+            tx = service.handle_request_result(envelope, now=now)
+            grants.append(open_link_ciphertext(p, actors["user"], tx.ciphertext))
+        elif action < 0.55 and grants:
+            grant = rng.choice(grants)
+            try:
+                service.redeem(grant.link_token, grant.nonce, operation=1, now=now)
+            except RedeemError:
+                pass
+        now = max(0, now + rng.choice((-40, 0, 1, 7, 60, 250)))
+        due = {
+            token for token, link in service.links.items()
+            if not (link.redeemed or link.expired) and link.expires_at < now
+        }
+        was = {token: link.expired for token, link in service.links.items()}
+        assert service.expire_links(now) == len(due)
+        assert {t: link.expired for t, link in service.links.items()} == {t: was[t] or t in due for t in was}
+    links = service.links.values()
+    assert len(grants) > 40 and any(link.expired for link in links) and any(link.redeemed for link in links)
 
 
 def test_link_grant_round_trip():
