@@ -14,8 +14,9 @@ from .contracts import (
     ContractRuntime,
     EnvelopeError,
     RequestResult,
-    decrypt_request_result,
+    decrypt_request_results,
     encrypt_request_result,
+    encrypt_request_results,
     engine_fingerprint,
 )
 from .crypto import CryptoError, KeyPair, Provider, sha256
@@ -34,7 +35,6 @@ from .ledger import (
     replay_chain,
     state_digest,
     validate_transaction,
-    verify_chain,
 )
 from .storage import AccessLink, LinkGrant, RedeemError, StorageService, open_link_ciphertext
 from .transactions import (
@@ -93,9 +93,10 @@ __all__ = [
     "build_redemption_log_tx",
     "build_register_user_tx",
     "decode_transaction",
-    "decrypt_request_result",
+    "decrypt_request_results",
     "encode_transaction",
     "encrypt_request_result",
+    "encrypt_request_results",
     "engine_fingerprint",
     "fork_choice",
     "genesis",
@@ -109,6 +110,5 @@ __all__ = [
     "state_digest",
     "tx_id",
     "validate_transaction",
-    "verify_chain",
     "__version__",
 ]

@@ -5,16 +5,31 @@ functions of (transaction, state snapshot, model, rules, block time).
 Signature and freshness are checked once, by the ledger's admission check,
 before a request reaches them. The authorization outcome travels to the
 storage service as an encrypted, validator-signed envelope; the on-chain
-record is the decision log entry.
+record is the decision log entry. The sealing validator puts all of one
+block's results into a single envelope.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
-from .codec import BOOLEAN, BYTES, U8, U32, U64, Reader, Writer, array, decode_record, encode_record
+from .codec import (
+    BOOLEAN,
+    BYTES,
+    U8,
+    U32,
+    U64,
+    Reader,
+    Writer,
+    array,
+    counted,
+    decode_record,
+    encode_record,
+    inline,
+)
 from .crypto import KeyPair, Provider, sha256
 from .engine import (
     DecisionModel,
@@ -72,6 +87,8 @@ class RequestResult:
     def __post_init__(self):
         if len(self.access_list) != N_OPERATIONS:
             raise ContractError(f"access_list must have {N_OPERATIONS} entries")
+        if not 0 <= self.operation < N_OPERATIONS:
+            raise ContractError(f"no such operation {self.operation}")
         if self.granted != self.access_list[self.operation]:
             raise ContractError("granted must equal access_list[operation]")
 
@@ -163,12 +180,17 @@ class ContractRuntime:
 
 # -- delivery envelope -----------------------------------------------------------
 
+# the plaintext of one envelope: every result of one sealed block, in block order
+_write_results, _read_results = counted(inline(RequestResult))
 
-def encrypt_request_result(
-    provider: Provider, result: RequestResult, storage_pk: bytes, validator: KeyPair
+
+def encrypt_request_results(
+    provider: Provider, results: Sequence[RequestResult], storage_pk: bytes, validator: KeyPair
 ) -> bytes:
-    """Seal a result for storage: encrypted payload plus validator signature."""
-    ciphertext = provider.encrypt(storage_pk, result.encode())
+    """Seal a block's results for storage: one encrypted payload, one validator signature."""
+    plaintext = Writer()
+    _write_results(plaintext, tuple(results))
+    ciphertext = provider.encrypt(storage_pk, plaintext.getvalue())
     sig = provider.sign(validator.secret_key, ciphertext)
     w = Writer()
     w.bytes_(ciphertext)
@@ -177,9 +199,16 @@ def encrypt_request_result(
     return w.getvalue()
 
 
-def decrypt_request_result(
+def encrypt_request_result(
+    provider: Provider, result: RequestResult, storage_pk: bytes, validator: KeyPair
+) -> bytes:
+    """An envelope holding the one result."""
+    return encrypt_request_results(provider, (result,), storage_pk, validator)
+
+
+def decrypt_request_results(
     provider: Provider, storage: KeyPair, envelope: bytes, validators: tuple[bytes, ...]
-) -> RequestResult:
+) -> tuple[RequestResult, ...]:
     """Open a delivery envelope, enforcing that a known validator sent it."""
     try:
         r = Reader(envelope)
@@ -198,6 +227,9 @@ def decrypt_request_result(
     except Exception as exc:
         raise EnvelopeError(f"cannot decrypt envelope: {exc}") from exc
     try:
-        return RequestResult.decode(payload)
+        r = Reader(payload)
+        results = _read_results(r)
+        r.expect_end()
     except ValueError as exc:
         raise EnvelopeError(f"malformed result payload: {exc}") from exc
+    return results

@@ -15,6 +15,12 @@ the recipient, HKDF-SHA256 derives an AES-256-GCM key, and the ciphertext is
 
 so any tampering fails authenticated decryption. Hashing is SHA-256.
 
+Parsed key objects are kept in small bounded caches keyed by the key bytes
+(``KEY_CACHE_SIZE`` entries each, least recently used evicted), so a node
+that signs, verifies or decrypts under the same keys again and again parses
+each key once. Key objects are immutable, and a key that fails to load is
+never cached.
+
 The provider is swappable: construct :class:`Provider` with a seed to get
 fully reproducible key generation and encryption randomness for simulations
 and tests. Seeded randomness is NOT cryptographically strong; production use
@@ -23,6 +29,7 @@ leaves the seed unset, which draws from ``os.urandom``.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import os
 import random
@@ -41,6 +48,8 @@ PUBLIC_KEY_LEN = SIGN_KEY_LEN + ENC_KEY_LEN
 SECRET_KEY_LEN = SIGN_KEY_LEN + ENC_KEY_LEN
 SIGNATURE_LEN = 64
 DIGEST_LEN = 32
+
+KEY_CACHE_SIZE = 1024
 
 _GCM_NONCE_LEN = 12
 _HKDF_INFO = b"chainacl/envelope/v1"
@@ -91,6 +100,23 @@ def _split_secret(sk: bytes) -> tuple[bytes, bytes]:
     return bytes(sk[:SIGN_KEY_LEN]), bytes(sk[SIGN_KEY_LEN:])
 
 
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
+def _signing_key(seed: bytes) -> ed25519.Ed25519PrivateKey:
+    return ed25519.Ed25519PrivateKey.from_private_bytes(seed)
+
+
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
+def _verify_key(public: bytes) -> ed25519.Ed25519PublicKey:
+    return ed25519.Ed25519PublicKey.from_public_bytes(public)
+
+
+@functools.lru_cache(maxsize=KEY_CACHE_SIZE)
+def _exchange_key(private: bytes) -> tuple[x25519.X25519PrivateKey, bytes]:
+    """An X25519 private key and its raw public bytes."""
+    key = x25519.X25519PrivateKey.from_private_bytes(private)
+    return key, key.public_key().public_bytes_raw()
+
+
 class Provider:
     """Default provider. Seed it for deterministic simulation randomness."""
 
@@ -133,7 +159,7 @@ class Provider:
         """Sign the SHA-256 digest of ``message``; verifies under the matching pk."""
         sign_seed, _ = _split_secret(sk)
         try:
-            key = ed25519.Ed25519PrivateKey.from_private_bytes(sign_seed)
+            key = _signing_key(sign_seed)
         except Exception as exc:
             raise MalformedKeyError(str(exc)) from exc
         return key.sign(sha256(message))
@@ -146,8 +172,7 @@ class Provider:
         """
         try:
             sign_pub, _ = _split_public(pk)
-            key = ed25519.Ed25519PublicKey.from_public_bytes(sign_pub)
-            key.verify(bytes(sig), sha256(bytes(message)))
+            _verify_key(sign_pub).verify(bytes(sig), sha256(bytes(message)))
             return True
         except (InvalidSignature, MalformedKeyError, ValueError, TypeError):
             return False
@@ -175,9 +200,8 @@ class Provider:
         nonce = bytes(ciphertext[ENC_KEY_LEN : ENC_KEY_LEN + _GCM_NONCE_LEN])
         sealed = bytes(ciphertext[ENC_KEY_LEN + _GCM_NONCE_LEN :])
         try:
-            me = x25519.X25519PrivateKey.from_private_bytes(enc_priv)
+            me, my_pub = _exchange_key(enc_priv)
             shared = me.exchange(x25519.X25519PublicKey.from_public_bytes(eph_pub))
-            my_pub = me.public_key().public_bytes_raw()
             key = self._derive_envelope_key(shared, eph_pub, my_pub)
             return AESGCM(key).decrypt(nonce, sealed, None)
         except InvalidTag as exc:

@@ -61,6 +61,7 @@ REJECT_STALE_TIME = "stale_time"
 REJECT_UNAUTHORIZED = "unauthorized_sender"
 REJECT_DUPLICATE = "duplicate"
 REJECT_DUPLICATE_USER = "duplicate_user"
+REJECT_DUPLICATE_REQUEST = "duplicate_request"
 REJECT_UNKNOWN_REQUEST = "unknown_request"
 REJECT_REPLAYED_NONCE = "replayed_nonce"
 REJECT_INTERNAL_ONLY = "internal_only"
@@ -314,9 +315,12 @@ def validate_transaction(
             return REJECT_UNKNOWN_REQUEST
         return None
 
-    # an access request: its signature and freshness are the only checks it
-    # gets here; registration is deliberately not checked, the authentication
-    # contract decides that and logs the denial
+    # an access request: a request id names one request for good, so a reused
+    # one is refused rather than overwrite that request's record; registration
+    # is deliberately not checked, the authentication contract decides that
+    # and logs the denial
+    if tx.info.request_id in state.requests:
+        return REJECT_DUPLICATE_REQUEST
     return None
 
 
@@ -380,14 +384,14 @@ def _log(
 
 def _sweep_expired(state: LedgerState, outcome: ApplyOutcome, height: int, now: int) -> None:
     """Expire every issued link whose lifetime ended before ``now``, logging
-    them in request order. Index entries whose link was since redeemed (or
-    issued again) are dropped as they come due."""
+    them in request order. A request gets at most one link, so an index
+    entry whose link was since redeemed is dropped as it comes due."""
     due: dict[int, RequestRecord] = {}
     heap = state.link_expiry
     while heap and heap[0][0] < now:
-        deadline, seq, rid = heapq.heappop(heap)
+        _, seq, rid = heapq.heappop(heap)
         record = state.requests[rid]
-        if record.status == "link_issued" and record.link_issued_at + LINK_LIFETIME == deadline:
+        if record.status == "link_issued":
             due[seq] = record
     for seq in sorted(due):
         record = due[seq]
@@ -411,14 +415,13 @@ def _execute_access_request(
     passed (the block must carry it immediately after the request).
     """
     rid = tx.info.request_id
-    earlier = state.requests.get(rid)  # a reused request id keeps its place
     record = RequestRecord(
         request_id=rid,
         user_pk=tx.user_pk,
         resource_id=tx.info.resource_id,
         operation=tx.info.operation,
         submitted_at=tx.time,
-        seq=len(state.requests) if earlier is None else earlier.seq,
+        seq=len(state.requests),
     )
     state.requests[rid] = record
     _log(state, outcome, record, "requested", height, tx.time)
@@ -832,12 +835,3 @@ def replay_chain(
         assert outcome.state is not None
         state = outcome.state
     return state
-
-
-def verify_chain(blocks: Sequence[Block], runtime: ContractHooks | None = None) -> bool:
-    try:
-        replay_chain(blocks, runtime)
-        return True
-    except (LedgerError, ValueError):
-        return False
-

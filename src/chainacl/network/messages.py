@@ -63,7 +63,7 @@ class ChainReply:
 
 @dataclass(frozen=True)
 class ResultDelivery:
-    """Validator-to-storage envelope with one encrypted RequestResult."""
+    """Validator-to-storage envelope with the RequestResults of one sealed block."""
 
     envelope: bytes
 

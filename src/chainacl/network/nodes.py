@@ -22,8 +22,8 @@ from ..ledger import (
     state_digest,
     submit_to_pool,
 )
-from ..storage import RedeemError, StorageService
-from ..contracts import encrypt_request_result
+from ..storage import DenialRecord, RedeemError, StorageService
+from ..contracts import encrypt_request_results
 from ..transactions import tx_id
 from .messages import (
     BlockAnnounce,
@@ -158,10 +158,11 @@ class ValidatorCore:
             )
             announce = BlockAnnounce(block=block)
             out.extend((peer, announce) for peer in self._peers())
-            # only the sealing validator delivers the decisions off-chain
-            for result in outcome.results:
-                envelope = encrypt_request_result(
-                    self.provider, result, self.state.storage_pk, self.keypair
+            # only the sealing validator delivers the decisions off-chain,
+            # all of one block's in one envelope
+            if outcome.results:
+                envelope = encrypt_request_results(
+                    self.provider, outcome.results, self.state.storage_pk, self.keypair
                 )
                 out.append((self.storage_name, ResultDelivery(envelope=envelope)))
         if now % self.retransmit_interval == 0:
@@ -206,12 +207,14 @@ class StorageCore:
 
     def handle(self, msg: Message, src: str, now: int) -> Outgoing:
         if isinstance(msg, ResultDelivery):
-            link_tx = self.service.handle_request_result(msg.envelope, now)
-            if link_tx is None:
-                self.events.append(f"result_no_link reason={self.service.denials[-1].reason}")
-                return []
-            self.events.append(f"link_minted req={link_tx.request_id.hex()[:10]}")
-            return self._gossip_tx(link_tx)
+            gossip: Outgoing = []
+            for issued in self.service.handle_request_results(msg.envelope, now):
+                if isinstance(issued, DenialRecord):
+                    self.events.append(f"result_no_link reason={issued.reason}")
+                else:
+                    self.events.append(f"link_minted req={issued.request_id.hex()[:10]}")
+                    gossip.extend(self._gossip_tx(issued))
+            return gossip
         if isinstance(msg, RedeemCall):
             try:
                 payload, log_tx = self.service.redeem(

@@ -226,7 +226,6 @@ class Action:
     request:  label, resource_id, operation, and user or fresh ("key label")
     redeem:   label, optionally operation / mode ("replay" reuses captured creds)
     adversary: behavior plus passthrough params
-    crash:    node
     """
 
     tick: int
@@ -263,10 +262,6 @@ def redeem_at(
 
 def adversary_at(tick: int, behavior: str, **kw) -> Action:
     return Action(tick, "adversary", {"behavior": behavior, **kw})
-
-
-def crash_at(tick: int, node: str) -> Action:
-    return Action(tick, "crash", {"node": node})
 
 
 @dataclass(frozen=True)
@@ -477,8 +472,6 @@ class _Runner:
                 elif action.kind == "adversary":
                     kw = dict(action.params)
                     self.world.inject_adversary(kw.pop("behavior"), **kw)
-                elif action.kind == "crash":
-                    self.world.crash(action.params["node"])
                 elif action.kind == "register":
                     tx = build_register_user_tx(
                         self.fixtures.provider,

@@ -1,10 +1,11 @@
 """Storage service: resources, single-use access links, redemptions.
 
-The service trusts nothing but validator-signed result envelopes. A
-granted result mints an AccessLink (opaque token + single-use nonce) that
-is delivered encrypted to the requesting user on chain; redemption is a
-direct bearer-style exchange, and every successful redemption is pushed
-back to the chain as a redemption-log transaction.
+The service trusts nothing but validator-signed result envelopes, one per
+sealed block with that block's results in order. A granted result mints
+an AccessLink (opaque token + single-use nonce) that is delivered
+encrypted to the requesting user on chain; redemption is a direct
+bearer-style exchange, and every successful redemption is pushed back to
+the chain as a redemption-log transaction.
 
 Possession of (token, nonce) is the entire redemption credential; the
 service does not re-identify the caller. The log still attributes the
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .codec import BYTES, U64, decode_record, encode_record
-from .contracts import EnvelopeError, decrypt_request_result
+from .contracts import EnvelopeError, RequestResult, decrypt_request_results
 from .crypto import KeyPair, Provider, sha256
 from .ledger import LINK_LIFETIME
 from .transactions import (
@@ -160,34 +161,39 @@ class StorageService:
 
     # -- link issuance --------------------------------------------------------
 
-    def handle_request_result(self, envelope: bytes, now: int) -> LinkDeliveryTx | None:
-        """Mint and deliver a link for a granted result; record everything else.
+    def handle_request_results(self, envelope: bytes, now: int) -> list[LinkDeliveryTx | DenialRecord]:
+        """Mint and deliver a link for each granted result; record everything else.
 
-        Returns the chain-bound delivery transaction, or None when no link
-        was issued (denied result, replayed request_id, bad envelope,
-        unknown resource); the reason lands in ``denials``.
+        The envelope's signer is checked and its payload decrypted once;
+        its results are then handled in block order. Each gives either the
+        chain-bound delivery transaction or the denial it landed in
+        ``denials`` (denied result, replayed request_id, unknown resource).
+        An envelope that does not open gives one ``bad_envelope`` denial.
         """
         try:
-            result = decrypt_request_result(self.provider, self.keypair, envelope, self.validators)
+            results = decrypt_request_results(self.provider, self.keypair, envelope, self.validators)
         except EnvelopeError as exc:
-            self.denials.append(DenialRecord(request_id=b"", reason=f"bad_envelope: {exc}", time=now))
-            return None
+            return [self._deny(b"", f"bad_envelope: {exc}", now)]
+        return [self._issue(result, now) for result in results]
+
+    def handle_request_result(self, envelope: bytes, now: int) -> LinkDeliveryTx | None:
+        """The one result of ``envelope``: its delivery transaction, or None when denied."""
+        (out,) = self.handle_request_results(envelope, now)
+        return out if isinstance(out, LinkDeliveryTx) else None
+
+    def _deny(self, request_id: bytes, reason: str, now: int) -> DenialRecord:
+        denial = DenialRecord(request_id=request_id, reason=reason, time=now)
+        self.denials.append(denial)
+        return denial
+
+    def _issue(self, result: RequestResult, now: int) -> LinkDeliveryTx | DenialRecord:
         if result.request_id in self.served_requests:
-            self.denials.append(
-                DenialRecord(request_id=result.request_id, reason="already_served", time=now)
-            )
-            return None
+            return self._deny(result.request_id, "already_served", now)
         self.served_requests.add(result.request_id)
         if not result.granted:
-            self.denials.append(
-                DenialRecord(request_id=result.request_id, reason="denied_by_policy", time=now)
-            )
-            return None
+            return self._deny(result.request_id, "denied_by_policy", now)
         if result.resource_id not in self.resources:
-            self.denials.append(
-                DenialRecord(request_id=result.request_id, reason="unknown_resource", time=now)
-            )
-            return None
+            return self._deny(result.request_id, "unknown_resource", now)
 
         link = AccessLink(
             link_token=self._rng.randbytes(LINK_TOKEN_LEN),

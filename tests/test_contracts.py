@@ -10,7 +10,7 @@ from chainacl.contracts import (
     ContractRuntime,
     EnvelopeError,
     RequestResult,
-    decrypt_request_result,
+    decrypt_request_results,
     encrypt_request_result,
     engine_fingerprint,
     run_authentication,
@@ -92,6 +92,16 @@ def test_request_result_invariant():
             operation=0,
             access_list=(True,),
             granted=True,
+            time=9,
+        )
+    with pytest.raises(ContractError):
+        RequestResult(
+            request_id=b"r" * 16,
+            user_pk=b"u" * 64,
+            resource_id=1,
+            operation=4,
+            access_list=(False,) * 4,
+            granted=False,
             time=9,
         )
 
@@ -220,8 +230,8 @@ def test_envelope_round_trip(p, actors):
     validator = actors["validators"][0]
     vset = tuple(v.public_key for v in actors["validators"])
     envelope = encrypt_request_result(p, result, actors["storage"].public_key, validator)
-    opened = decrypt_request_result(p, actors["storage"], envelope, vset)
-    assert opened == result
+    opened = decrypt_request_results(p, actors["storage"], envelope, vset)
+    assert opened == (result,)
 
 
 def test_envelope_rejects_unknown_sender(p, actors):
@@ -238,7 +248,7 @@ def test_envelope_rejects_unknown_sender(p, actors):
     vset = tuple(v.public_key for v in actors["validators"])
     envelope = encrypt_request_result(p, result, actors["storage"].public_key, outsider)
     with pytest.raises(EnvelopeError):
-        decrypt_request_result(p, actors["storage"], envelope, vset)
+        decrypt_request_results(p, actors["storage"], envelope, vset)
 
 
 def test_envelope_rejects_tampering_and_junk(p, actors):
@@ -258,9 +268,9 @@ def test_envelope_rejects_tampering_and_junk(p, actors):
     )
     envelope[10] ^= 0x40
     with pytest.raises(EnvelopeError):
-        decrypt_request_result(p, actors["storage"], bytes(envelope), vset)
+        decrypt_request_results(p, actors["storage"], bytes(envelope), vset)
     with pytest.raises(EnvelopeError):
-        decrypt_request_result(p, actors["storage"], b"not an envelope", vset)
+        decrypt_request_results(p, actors["storage"], b"not an envelope", vset)
 
 
 def test_envelope_encrypted_to_storage_only(p, actors):
@@ -278,5 +288,5 @@ def test_envelope_encrypted_to_storage_only(p, actors):
     envelope = encrypt_request_result(p, result, actors["storage"].public_key, validator)
     eavesdropper = p.generate_keypair()
     with pytest.raises(EnvelopeError):
-        decrypt_request_result(p, eavesdropper, envelope, vset)
+        decrypt_request_results(p, eavesdropper, envelope, vset)
     assert result.encode() not in envelope

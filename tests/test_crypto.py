@@ -6,7 +6,15 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cryptography.exceptions import InvalidSignature
+from cryptography.hazmat.primitives import hashes
+from cryptography.hazmat.primitives.asymmetric import ed25519, x25519
+from cryptography.hazmat.primitives.ciphers.aead import AESGCM
+from cryptography.hazmat.primitives.kdf.hkdf import HKDF
+
+from chainacl import crypto
 from chainacl.crypto import (
+    KEY_CACHE_SIZE,
     DecryptionError,
     KeyPair,
     MalformedKeyError,
@@ -182,3 +190,80 @@ def test_key_files_round_trip(tmp_path, p):
 def test_keypair_length_enforced():
     with pytest.raises(MalformedKeyError):
         KeyPair(public_key=b"short", secret_key=b"also short")
+
+
+# -- parsed-key caches ---------------------------------------------------------
+
+
+def _direct_verify(pk: bytes, message: bytes, sig: bytes) -> bool:
+    try:
+        ed25519.Ed25519PublicKey.from_public_bytes(pk[:32]).verify(sig, hashlib.sha256(message).digest())
+        return True
+    except InvalidSignature:
+        return False
+
+
+def _direct_envelope(pk: bytes, plaintext: bytes, rng: random.Random) -> bytes:
+    """The documented envelope layout, built with ``cryptography`` alone."""
+    eph = x25519.X25519PrivateKey.from_private_bytes(rng.randbytes(32))
+    eph_pub = eph.public_key().public_bytes_raw()
+    shared = eph.exchange(x25519.X25519PublicKey.from_public_bytes(pk[32:]))
+    key = HKDF(
+        algorithm=hashes.SHA256(), length=32, salt=None,
+        info=b"chainacl/envelope/v1" + eph_pub + pk[32:],
+    ).derive(shared)
+    nonce = rng.randbytes(12)
+    return eph_pub + nonce + AESGCM(key).encrypt(nonce, plaintext, None)
+
+
+def test_cached_keys_match_direct_calls(p):
+    rng = random.Random(4)
+    pairs = [p.generate_keypair() for _ in range(3)]
+    # each key several times, interleaved, so later calls hit the caches
+    for round_ in range(3):
+        for kp in pairs:
+            message = rng.randbytes(40)
+            direct = ed25519.Ed25519PrivateKey.from_private_bytes(kp.secret_key[:32])
+            sig = p.sign(kp.secret_key, message)
+            assert sig == direct.sign(hashlib.sha256(message).digest())
+            forged = bytes([sig[0] ^ 1]) + sig[1:]
+            for candidate in (sig, forged):
+                assert p.verify(kp.public_key, message, candidate) == _direct_verify(
+                    kp.public_key, message, candidate
+                )
+            plaintext = rng.randbytes(round_ * 50)
+            assert p.decrypt(kp.secret_key, _direct_envelope(kp.public_key, plaintext, rng)) == plaintext
+            other = pairs[(pairs.index(kp) + 1) % len(pairs)]
+            with pytest.raises(DecryptionError):
+                p.decrypt(other.secret_key, _direct_envelope(kp.public_key, plaintext, rng))
+
+
+def test_malformed_keys_are_still_refused(p):
+    kp = p.generate_keypair()
+    sig = p.sign(kp.secret_key, b"m")
+    for bad in (b"", b"short", kp.public_key[:-1], kp.public_key + b"\x00", "not bytes"):
+        for _ in range(2):  # a refused key is not cached into acceptance
+            assert p.verify(bad, b"m", sig) is False
+    for bad in (b"", kp.secret_key[:-1], kp.secret_key + b"\x00"):
+        for _ in range(2):
+            with pytest.raises(MalformedKeyError):
+                p.sign(bad, b"m")
+            with pytest.raises(MalformedKeyError):
+                p.decrypt(bad, p.encrypt(kp.public_key, b"m"))
+    assert p.verify(kp.public_key, b"m", sig)
+
+
+def test_key_caches_stay_bounded():
+    caches = (crypto._signing_key, crypto._verify_key, crypto._exchange_key)
+    assert all(c.cache_info().maxsize == KEY_CACHE_SIZE for c in caches)
+    p = Provider(seed=13)
+    sealed = p.encrypt(p.generate_keypair().public_key, b"m")
+    for _ in range(KEY_CACHE_SIZE + 1):
+        kp = p.generate_keypair()
+        sig = p.sign(kp.secret_key, b"m")
+        assert p.verify(kp.public_key, b"m", sig)
+        with pytest.raises(DecryptionError):
+            p.decrypt(kp.secret_key, sealed)
+    for cache in caches:
+        info = cache.cache_info()
+        assert info.currsize <= KEY_CACHE_SIZE and info.misses > KEY_CACHE_SIZE

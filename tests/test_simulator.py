@@ -1,5 +1,7 @@
 """Discrete-event network: determinism, convergence, faults, adversaries."""
 
+import re
+
 import pytest
 
 from chainacl.blocks import ConfigurationError, GenesisConfig, seal_block
@@ -9,7 +11,7 @@ from chainacl.network.messages import ChainReply
 from chainacl.network.nodes import ValidatorCore
 from chainacl.network.simulator import ADVERSARY_BEHAVIORS, NetworkConfig, World
 from chainacl.scenarios import build_world
-from chainacl.transactions import build_register_user_tx
+from chainacl.transactions import RequestInfo, VerifiedRequestTx, build_access_request_tx, build_register_user_tx
 
 
 def _world(fixtures, **net_kw):
@@ -65,6 +67,30 @@ def test_validators_converge_after_burst(fixtures):
     assert report.agreement and not report.timed_out
     assert report.height >= 1
     assert len(set(report.digests.values())) == 1
+
+
+def test_one_result_delivery_per_sealed_block(fixtures):
+    """A block deciding k > 1 requests reaches storage as one envelope, and
+    storage still logs one outcome per result."""
+    world = _world(fixtures, seed=10)
+    _register(world, fixtures, range(6))
+    world.run_until_converged(40)
+    start = len(world.trace)
+    for i in range(6):
+        info = RequestInfo(resource_id=i % fixtures.n_resources, operation=i % 4, request_id=bytes([0xC0 + i]) * 16)
+        world.submit_transaction(f"u{i}", build_access_request_tx(fixtures.provider, fixtures.users[i], info, time=world.tick))
+    world.run(6)
+    trace = world.trace[start:]
+    chain = world.nodes["v0"].core.state.chain
+    decided = {b.height: sum(isinstance(tx, VerifiedRequestTx) for tx in b.transactions) for b in chain[1:]}
+    assert max(decided.values()) > 1
+    seals = (re.match(r"tick=(\d+) node=(\S+) seal h=(\d+) ", line) for line in trace)
+    sealed = [(m[1], m[2]) for m in seals if m and decided[int(m[3])] > 0]
+    sends = (re.match(r"tick=(\d+) send src=(\S+) dst=s0 ResultDelivery ", line) for line in trace)
+    sent = [(m[1], m[2]) for m in sends if m]
+    assert sent == sealed and len(sent) < 6
+    outcomes = [line for line in trace if "node=s0 link_minted" in line or "node=s0 result_no_link" in line]
+    assert len(outcomes) == 6
 
 
 def test_crashed_validator_survivors_extend(fixtures):

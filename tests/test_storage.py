@@ -3,8 +3,9 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from chainacl.contracts import RequestResult, encrypt_request_result
+from chainacl.contracts import RequestResult, encrypt_request_result, encrypt_request_results
 from chainacl.crypto import Provider, sha256
 from chainacl.ledger import LINK_LIFETIME
 from chainacl.storage import (
@@ -15,13 +16,14 @@ from chainacl.storage import (
     REDEEM_OP_NOT_PERMITTED,
     REDEEM_UNKNOWN_TOKEN,
     REDEEM_WRONG_NONCE,
+    DenialRecord,
     LinkGrant,
     RedeemError,
     StorageError,
     StorageService,
     open_link_ciphertext,
 )
-from chainacl.transactions import LinkDeliveryTx, RedemptionLogTx
+from chainacl.transactions import LinkDeliveryTx, RedemptionLogTx, encode_transaction
 
 
 @pytest.fixture
@@ -256,3 +258,96 @@ def test_distinct_links_distinct_credentials(service, p, actors):
     tokens = {g.link_token for g in grants}
     nonces = {g.nonce for g in grants}
     assert len(tokens) == 8 and len(nonces) == 8
+
+
+# -- one envelope per block ------------------------------------------------------
+
+_BATCH = Provider(seed=63)
+_STORAGE = _BATCH.generate_keypair()
+_VALIDATORS = [_BATCH.generate_keypair() for _ in range(3)]
+_USERS = [_BATCH.generate_keypair() for _ in range(2)]
+
+
+def _batch_service() -> StorageService:
+    svc = StorageService(
+        keypair=_STORAGE,
+        validators=tuple(v.public_key for v in _VALIDATORS),
+        provider=Provider(seed=64),
+        seed=64,
+    )
+    svc.put_resource(5, b"five")
+    svc.put_resource(6, b"six")
+    return svc
+
+
+_results = st.builds(
+    lambda rid, user, resource, op, access, time: RequestResult(
+        request_id=bytes([rid]) * 16,
+        user_pk=_USERS[user].public_key,
+        resource_id=resource,
+        operation=op,
+        access_list=access,
+        granted=access[op],
+        time=time,
+    ),
+    rid=st.integers(0, 5),  # few ids, so some results repeat one
+    user=st.integers(0, 1),
+    resource=st.sampled_from((5, 6, 999)),
+    op=st.integers(0, 3),
+    access=st.tuples(*[st.booleans()] * 4),
+    time=st.integers(0, 100),
+)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(_results, min_size=1, max_size=6), st.integers(0, 2))
+def test_one_envelope_equals_one_envelope_per_result(results, sender):
+    validator = _VALIDATORS[sender]
+    batched, single = _batch_service(), _batch_service()
+    envelope = encrypt_request_results(_BATCH, results, _STORAGE.public_key, validator)
+    out = batched.handle_request_results(envelope, now=50)
+    txs = [
+        single.handle_request_result(encrypt_request_result(_BATCH, r, _STORAGE.public_key, validator), now=50)
+        for r in results
+    ]
+    assert len(out) == len(results)
+    assert [encode_transaction(o) if isinstance(o, LinkDeliveryTx) else None for o in out] == [
+        encode_transaction(tx) if tx is not None else None for tx in txs
+    ]
+    assert [o.request_id for o in out] == [r.request_id for r in results]
+    assert [o for o in out if isinstance(o, DenialRecord)] == single.denials
+    assert (batched.links, batched.denials, batched.served_requests) == (
+        single.links, single.denials, single.served_requests
+    )
+
+
+def _two_results():
+    return [
+        RequestResult(
+            request_id=bytes([i]) * 16, user_pk=_USERS[0].public_key, resource_id=5,
+            operation=1, access_list=(False, True, False, False), granted=True, time=10,
+        )
+        for i in (1, 2)
+    ]
+
+
+def test_bad_envelopes_mint_nothing():
+    outsider = _BATCH.generate_keypair()
+    good = encrypt_request_results(_BATCH, _two_results(), _STORAGE.public_key, _VALIDATORS[0])
+    ciphertext_byte = 4 + 40  # inside the ciphertext, past its length prefix
+    tampered = bytearray(good)
+    tampered[ciphertext_byte] ^= 0x01
+    bad = {
+        "tampered": bytes(tampered),
+        "foreign": encrypt_request_results(_BATCH, _two_results(), _STORAGE.public_key, outsider),
+        "truncated": good[:-1],
+        "empty": b"",
+    }
+    for name, envelope in bad.items():
+        svc = _batch_service()
+        (denial,) = svc.handle_request_results(envelope, now=10)
+        assert isinstance(denial, DenialRecord) and denial.reason.startswith("bad_envelope"), name
+        assert svc.denials == [denial] and not svc.links and not svc.served_requests, name
+    # the untouched envelope mints both links
+    out = _batch_service().handle_request_results(good, now=10)
+    assert [type(o) for o in out] == [LinkDeliveryTx, LinkDeliveryTx]

@@ -10,7 +10,8 @@ from fixed seeds, so each signed record also pins its signing payload.
 import pytest
 
 from chainacl.blocks import Block, GenesisConfig, encode_block, make_genesis_block, seal_block
-from chainacl.contracts import RequestResult
+from chainacl.codec import Reader
+from chainacl.contracts import RequestResult, encrypt_request_results
 from chainacl.crypto import Provider, sha256
 from chainacl.network.messages import (
     BlockAnnounce,
@@ -146,6 +147,30 @@ def test_block_bytes_are_pinned(name):
 @pytest.mark.parametrize("name", sorted(RECORD_DIGESTS))
 def test_record_bytes_are_pinned(name):
     assert sha256(RECORDS[name].encode()).hex() == RECORD_DIGESTS[name]
+
+
+# the plaintext a validator seals for storage: one block's results, in order.
+# Its digest was taken when one envelope began to carry a whole block.
+ENVELOPE_RESULTS = (
+    RECORDS["request_result"],
+    RequestResult(
+        request_id=bytes(range(16, 32)),
+        user_pk=ADMIN.public_key,
+        resource_id=7,
+        operation=0,
+        access_list=(False, False, True, True),
+        granted=False,
+        time=1_700_000_011,
+    ),
+)
+ENVELOPE_PLAINTEXT_DIGEST = "445efde1be1d64ebd7bb5de7803bcc2ae8c26331bb021d9b93e5d918b7a720a5"
+
+
+def test_result_envelope_plaintext_is_pinned():
+    envelope = encrypt_request_results(P, ENVELOPE_RESULTS, STORAGE.public_key, VALIDATORS[0])
+    plaintext = P.decrypt(STORAGE.secret_key, Reader(envelope).bytes_())
+    assert plaintext == len(ENVELOPE_RESULTS).to_bytes(4, "big") + b"".join(r.encode() for r in ENVELOPE_RESULTS)
+    assert sha256(plaintext).hex() == ENVELOPE_PLAINTEXT_DIGEST
 
 
 def test_every_wire_type_is_pinned():
