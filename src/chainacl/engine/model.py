@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..transactions import RESOURCE_BITS_WIDTH, USER_BITS_WIDTH
-from .policy import LabeledDataset, encode_pair
+from .policy import LabeledDataset
 
 DEFAULT_LAYER_DIMS = (USER_BITS_WIDTH + RESOURCE_BITS_WIDTH, 64, 64, 4)
 DEFAULT_THRESHOLD = 0.5
@@ -115,17 +115,6 @@ def forward(model: DecisionModel, x: np.ndarray) -> np.ndarray:
     pre, _ = _forward_internals(model, batch)
     scores = np.clip(_sigmoid(pre[-1]), _SCORE_EPS, 1.0 - _SCORE_EPS)
     return scores[0] if single else scores
-
-
-def predict_access(
-    model: DecisionModel,
-    user_index: int,
-    resource_id: int,
-    threshold: float = DEFAULT_THRESHOLD,
-) -> tuple[bool, ...]:
-    """Threshold the scores for (user, resource) into four grant booleans."""
-    scores = forward(model, encode_pair(user_index, resource_id))
-    return tuple(bool(s >= threshold) for s in scores)
 
 
 def loss_and_gradient(

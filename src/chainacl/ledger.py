@@ -17,7 +17,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Iterable, Protocol, Sequence
+from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
 
 from .blocks import (
     Block,
@@ -187,7 +187,6 @@ class LedgerState:
         self.nonce_registry: dict[bytes, NonceRecord] = {}
         self.access_log: list[LogEntry] = []
         self.requests: dict[bytes, RequestRecord] = {}
-        self.outstanding_links: dict[bytes, tuple[bytes, ...]] = {}
         self.seen_tx_ids: set[bytes] = set()
         self.pending_pool: list[Transaction] = []
         self.pool_ids: set[bytes] = set()
@@ -230,7 +229,6 @@ class LedgerState:
         st.nonce_registry = dict(self.nonce_registry)
         st.access_log = list(self.access_log)
         st.requests = dict(self.requests)
-        st.outstanding_links = dict(self.outstanding_links)
         st.seen_tx_ids = set(self.seen_tx_ids)
         st.pending_pool = list(self.pending_pool)
         st.pool_ids = set(self.pool_ids)
@@ -284,50 +282,56 @@ def validate_transaction(
     txid = tx_id(tx)
     if txid in state.seen_tx_ids or (against_pool and txid in state.pool_ids):
         return REJECT_DUPLICATE
-    if isinstance(tx, VerifiedRequestTx):
+    handler = _HANDLERS.get(type(tx))
+    if handler is None:
         return REJECT_INTERNAL_ONLY  # contract output; never admitted from the network
     if isinstance(tx, RegisterUserTx) and tx.admin_pk not in state.admin_pks:
-        return REJECT_UNAUTHORIZED
+        return REJECT_UNAUTHORIZED  # refused before its signature is checked
     if (against_pool or txid not in state.pool_ids) and not verify_transaction_signature(
         provider, tx, storage_pk=state.storage_pk
     ):
         return REJECT_BAD_SIGNATURE
+    return handler.check(state, tx, now)
 
-    if isinstance(tx, LinkDeliveryTx):
-        record = state.requests.get(tx.request_id)
-        if record is None or record.status == "pending":
-            return REJECT_UNKNOWN_REQUEST
-        if record.status != "granted":
-            return REJECT_DUPLICATE if record.status in ("link_issued", "redeemed") else REJECT_UNKNOWN_REQUEST
-        return None
 
+def _check_register(state: LedgerState, tx: RegisterUserTx, now: int) -> str | None:
     if not _fresh(tx.time, now):
         return REJECT_STALE_TIME
+    return REJECT_DUPLICATE_USER if state.is_registered(tx.user_pk) else None
 
-    if isinstance(tx, RegisterUserTx):
-        return REJECT_DUPLICATE_USER if state.is_registered(tx.user_pk) else None
 
-    if isinstance(tx, RedemptionLogTx):
-        existing = state.nonce_registry.get(tx.nonce)
-        if existing is not None and existing.redeemed:
-            return REJECT_REPLAYED_NONCE
-        if not state.outstanding_links.get(tx.user_pk):
-            return REJECT_UNKNOWN_REQUEST
-        return None
+def _check_access_request(state: LedgerState, tx: AccessRequestTx, now: int) -> str | None:
+    """A request id names one request for good, so a reused one is refused
+    rather than overwrite that request's record. Registration is
+    deliberately not checked: the authentication contract decides that and
+    logs the denial."""
+    if not _fresh(tx.time, now):
+        return REJECT_STALE_TIME
+    return REJECT_DUPLICATE_REQUEST if tx.info.request_id in state.requests else None
 
-    # an access request: a request id names one request for good, so a reused
-    # one is refused rather than overwrite that request's record; registration
-    # is deliberately not checked, the authentication contract decides that
-    # and logs the denial
-    if tx.info.request_id in state.requests:
-        return REJECT_DUPLICATE_REQUEST
+
+def _check_link_delivery(state: LedgerState, tx: LinkDeliveryTx, now: int) -> str | None:
+    record = state.requests.get(tx.request_id)
+    if record is None or record.status == "pending":
+        return REJECT_UNKNOWN_REQUEST
+    if record.status != "granted":
+        return REJECT_DUPLICATE if record.status in ("link_issued", "redeemed") else REJECT_UNKNOWN_REQUEST
     return None
 
 
-def _register(state: LedgerState, tx: RegisterUserTx) -> None:
-    state.users[sha256(tx.user_pk)] = UserRecord(
-        user_index=len(state.users), registered_at=tx.time
-    )
+def _check_redemption(state: LedgerState, tx: RedemptionLogTx, now: int) -> str | None:
+    """The nonce is checked first, so a replayed record reads as a replay
+    whatever became of its request; then the named request must be a
+    ``link_issued`` request of the redeeming user."""
+    if not _fresh(tx.time, now):
+        return REJECT_STALE_TIME
+    existing = state.nonce_registry.get(tx.nonce)
+    if existing is not None and existing.redeemed:
+        return REJECT_REPLAYED_NONCE
+    record = state.requests.get(tx.request_id)
+    if record is None or record.status != "link_issued" or record.user_pk != tx.user_pk:
+        return REJECT_UNKNOWN_REQUEST
+    return None
 
 
 # -- pool ----------------------------------------------------------------------
@@ -352,13 +356,11 @@ class ApplyOutcome:
     reason: str = ""
     state: LedgerState | None = None
     results: list = field(default_factory=list)  # contract outputs, block order
-    entries: list[LogEntry] = field(default_factory=list)
     skipped: list[tuple[Transaction, str]] = field(default_factory=list)
 
 
 def _log(
     state: LedgerState,
-    outcome: ApplyOutcome,
     record: RequestRecord,
     kind: str,
     height: int,
@@ -367,7 +369,7 @@ def _log(
     reason: str = "",
 ) -> None:
     """Append one audit entry about ``record``'s request."""
-    entry = LogEntry(
+    state.access_log.append(LogEntry(
         kind=kind,
         user_pk=record.user_pk,
         resource_id=record.resource_id,
@@ -377,12 +379,10 @@ def _log(
         time=time,
         request_id=record.request_id,
         reason=reason,
-    )
-    state.access_log.append(entry)
-    outcome.entries.append(entry)
+    ))
 
 
-def _sweep_expired(state: LedgerState, outcome: ApplyOutcome, height: int, now: int) -> None:
+def _sweep_expired(state: LedgerState, height: int, now: int) -> None:
     """Expire every issued link whose lifetime ended before ``now``, logging
     them in request order. A request gets at most one link, so an index
     entry whose link was since redeemed is dropped as it comes due."""
@@ -396,9 +396,18 @@ def _sweep_expired(state: LedgerState, outcome: ApplyOutcome, height: int, now: 
     for seq in sorted(due):
         record = due[seq]
         state.requests[record.request_id] = replace(record, status="expired")
-        queue = state.outstanding_links.get(record.user_pk, ())
-        state.outstanding_links[record.user_pk] = tuple(q for q in queue if q != record.request_id)
-        _log(state, outcome, record, "expired", height, now, "denied", "link_lifetime_elapsed")
+        _log(state, record, "expired", height, now, "denied", "link_lifetime_elapsed")
+
+
+# Executors share one signature: (state, outcome, tx, runtime, height, now).
+# Each applies one admitted transaction; only an access request returns
+# anything, the verification transaction derived from it.
+
+
+def _execute_register(
+    state: LedgerState, outcome: ApplyOutcome, tx: RegisterUserTx, runtime, height: int, now: int
+) -> None:
+    state.users[sha256(tx.user_pk)] = UserRecord(user_index=len(state.users), registered_at=tx.time)
 
 
 def _execute_access_request(
@@ -424,16 +433,16 @@ def _execute_access_request(
         seq=len(state.requests),
     )
     state.requests[rid] = record
-    _log(state, outcome, record, "requested", height, tx.time)
+    _log(state, record, "requested", height, tx.time)
 
     verified, failure = runtime.authenticate(tx, state)
     if verified is None:
         reason = failure or "unspecified"
         state.requests[rid] = replace(record, status="denied", deny_reason=reason)
-        _log(state, outcome, record, "denied", height, now, "denied", reason)
+        _log(state, record, "denied", height, now, "denied", reason)
         return None
 
-    _log(state, outcome, record, "authenticated", height, now)
+    _log(state, record, "authenticated", height, now)
 
     result = runtime.authorize(verified, tx, now)
     outcome.results.append(result)
@@ -445,15 +454,15 @@ def _execute_access_request(
         access_list=tuple(result.access_list),
         overridden=tuple(result.overridden),
     )
-    _log(state, outcome, record, "decided", height, now, decision, basis)
+    _log(state, record, "decided", height, now, decision, basis)
     if not result.granted:
         state.requests[rid] = replace(state.requests[rid], deny_reason="policy")
-        _log(state, outcome, record, "denied", height, now, "denied", "policy")
+        _log(state, record, "denied", height, now, "denied", "policy")
     return verified
 
 
 def _execute_link_delivery(
-    state: LedgerState, outcome: ApplyOutcome, tx: LinkDeliveryTx, height: int, now: int
+    state: LedgerState, outcome: ApplyOutcome, tx: LinkDeliveryTx, runtime, height: int, now: int
 ) -> None:
     record = state.requests[tx.request_id]
     state.requests[tx.request_id] = replace(
@@ -462,27 +471,34 @@ def _execute_link_delivery(
         link_issued_at=now,
         link_ciphertext=tx.ciphertext,
     )
-    queue = state.outstanding_links.get(record.user_pk, ())
-    state.outstanding_links[record.user_pk] = queue + (tx.request_id,)
     heapq.heappush(state.link_expiry, (now + LINK_LIFETIME, record.seq, tx.request_id))
-    _log(state, outcome, record, "link_issued", height, now, "granted")
+    _log(state, record, "link_issued", height, now, "granted")
 
 
 def _execute_redemption(
-    state: LedgerState, outcome: ApplyOutcome, tx: RedemptionLogTx, height: int, now: int
+    state: LedgerState, outcome: ApplyOutcome, tx: RedemptionLogTx, runtime, height: int, now: int
 ) -> None:
-    # correlate to the oldest outstanding link of this user; exact whenever
-    # a user holds at most one live link, which every scripted flow obeys
-    queue = state.outstanding_links[tx.user_pk]
-    rid, rest = queue[0], queue[1:]
-    state.outstanding_links[tx.user_pk] = rest
-    record = state.requests[rid]
-    issued_at = record.link_issued_at if record.link_issued_at is not None else tx.time
+    record = state.requests[tx.request_id]  # admitted: a link_issued request of tx.user_pk
     state.nonce_registry[tx.nonce] = NonceRecord(
-        issued_at=issued_at, redeemed=True, redeemed_at=tx.time
+        issued_at=record.link_issued_at, redeemed=True, redeemed_at=tx.time
     )
-    state.requests[rid] = replace(record, status="redeemed", redeemed_at=tx.time)
-    _log(state, outcome, record, "redeemed", height, tx.time, "granted")
+    state.requests[tx.request_id] = replace(record, status="redeemed", redeemed_at=tx.time)
+    _log(state, record, "redeemed", height, tx.time, "granted")
+
+
+class _Handler(NamedTuple):
+    check: Callable[[LedgerState, Transaction, int], str | None]  # after the shared checks
+    execute: Callable[..., VerifiedRequestTx | None]
+
+
+# one entry per admissible type; a type without one (VerifiedRequestTx) is
+# refused as internal only
+_HANDLERS: dict[type, _Handler] = {
+    RegisterUserTx: _Handler(_check_register, _execute_register),
+    AccessRequestTx: _Handler(_check_access_request, _execute_access_request),
+    LinkDeliveryTx: _Handler(_check_link_delivery, _execute_link_delivery),
+    RedemptionLogTx: _Handler(_check_redemption, _execute_redemption),
+}
 
 
 def _execute_block_txs(
@@ -521,7 +537,8 @@ def _execute_block_txs(
             expected_verified = None
             continue
 
-        if isinstance(tx, VerifiedRequestTx):
+        handler = _HANDLERS.get(type(tx))
+        if handler is None:
             if derive:
                 outcome.skipped.append((tx, REJECT_INTERNAL_ONLY))
                 continue
@@ -536,32 +553,21 @@ def _execute_block_txs(
             fail(reason, "inadmissible transaction in block")
             return None
 
-        if isinstance(tx, RegisterUserTx):
-            _register(state, tx)
-        elif isinstance(tx, AccessRequestTx):
-            assert runtime is not None
-            verified = _execute_access_request(state, outcome, tx, runtime, height, block_time)
-            if verified is not None:
-                if derive:
-                    included.append(tx)
-                    state.seen_tx_ids.add(tx_id(tx))
-                    included.append(verified)
-                    state.seen_tx_ids.add(tx_id(verified))
-                    continue
-                expected_verified = verified
-        elif isinstance(tx, LinkDeliveryTx):
-            _execute_link_delivery(state, outcome, tx, height, block_time)
-        elif isinstance(tx, RedemptionLogTx):
-            _execute_redemption(state, outcome, tx, height, block_time)
-
+        verified = handler.execute(state, outcome, tx, runtime, height, block_time)
         included.append(tx)
         state.seen_tx_ids.add(tx_id(tx))
+        if verified is not None:
+            if derive:
+                included.append(verified)
+                state.seen_tx_ids.add(tx_id(verified))
+            else:
+                expected_verified = verified
 
     if expected_verified is not None:
         fail("verified_mismatch", "missing contract output at end of block")
         return None
 
-    _sweep_expired(state, outcome, height, block_time)
+    _sweep_expired(state, height, block_time)
     return tuple(included)
 
 
@@ -636,7 +642,6 @@ def apply_block(
         provider=provider,
     )
     if executed is None:
-        outcome.entries = []
         outcome.results = []
         return outcome
 
@@ -780,13 +785,6 @@ def state_digest(state: LedgerState) -> bytes:
     w.u64(len(state.requests))
     for rid in sorted(state.requests):
         state.requests[rid].encode_into(w)
-    w.u64(len(state.outstanding_links))
-    for pk in sorted(state.outstanding_links):
-        w.bytes_(pk)
-        queue = state.outstanding_links[pk]
-        w.u32(len(queue))
-        for rid in queue:
-            w.bytes_(rid)
     return sha256(w.getvalue())
 
 

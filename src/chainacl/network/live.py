@@ -16,9 +16,8 @@ import time
 
 from ..codec import Reader, Writer
 from ..ledger import submit_to_pool
-from ..storage import RedeemError
 from ..transactions import Transaction
-from .messages import Message, decode_message, encode_message
+from .messages import Message, TxGossip, decode_message, encode_message
 from .nodes import StorageCore, ValidatorCore
 from .transport import (
     CHANNEL_NODE,
@@ -182,26 +181,14 @@ class LiveNode:
         reason = submit_to_pool(self.core.state, tx, self.now(), self.core.provider)
         if reason is not None:
             return reason
-        # forward to peer validators from a thread so the service reply does
-        # not block on peer availability (we hold the core lock right now)
-        from .messages import TxGossip
-
         msg = TxGossip(tx=tx)
-        peers = [p for p in self.peers if p != self.name]
-        threading.Thread(
-            target=self._gossip_later, args=(peers, msg), daemon=True
-        ).start()
+        self._send_later([(p, msg) for p in self.peers if p != self.name])
         return None
 
-    def _gossip_later(self, peers: list[str], msg: Message) -> None:
-        for dst in peers:
-            addr = self.peers.get(dst)
-            if addr is None:
-                continue
-            try:
-                send_oneway(addr, _encode_envelope(self.name, msg), timeout=2.0)
-            except TransportError:
-                pass
+    def _send_later(self, outgoing: list[tuple[str, Message]]) -> None:
+        """Dispatch from a thread: the service caller holds the node lock,
+        and its reply must not wait on peer availability."""
+        threading.Thread(target=self._dispatch, args=(outgoing,), daemon=True).start()
 
     def ledger_state(self):
         if isinstance(self.core, ValidatorCore):
@@ -211,18 +198,10 @@ class LiveNode:
     def redeem(self, link_token: bytes, nonce: bytes, operation: int) -> tuple[bool, str, bytes]:
         if not isinstance(self.core, StorageCore):
             return False, "not_storage", b""
-        try:
-            payload, log_tx = self.core.service.redeem(link_token, nonce, operation, self.now())
-        except RedeemError as exc:
-            return False, exc.reason, b""
-        from .messages import TxGossip
-
-        threading.Thread(
-            target=self._gossip_later,
-            args=(list(self.core.validator_names), TxGossip(tx=log_tx)),
-            daemon=True,
-        ).start()
-        return True, "", payload
+        reply, gossip = self.core.redeem(link_token, nonce, operation, self.now())
+        self.core.events.clear()
+        self._send_later(gossip)
+        return reply.ok, reply.reason, reply.payload
 
 
 def service_call(addr: tuple[str, int], request: dict, timeout: float = 5.0) -> dict:

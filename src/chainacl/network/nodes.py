@@ -216,19 +216,21 @@ class StorageCore:
                     gossip.extend(self._gossip_tx(issued))
             return gossip
         if isinstance(msg, RedeemCall):
-            try:
-                payload, log_tx = self.service.redeem(
-                    msg.link_token, msg.nonce, msg.operation, now
-                )
-            except RedeemError as exc:
-                self.events.append(f"redeem_reject reason={exc.reason}")
-                return [(msg.reply_to, RedeemReply(ok=False, reason=exc.reason, payload=b""))]
-            self.events.append(f"redeem_ok user={log_tx.user_pk.hex()[:10]}")
-            out: Outgoing = [(msg.reply_to, RedeemReply(ok=True, reason="", payload=payload))]
-            out.extend(self._gossip_tx(log_tx))
-            return out
+            reply, gossip = self.redeem(msg.link_token, msg.nonce, msg.operation, now)
+            return [(msg.reply_to, reply)] + gossip
         self.events.append(f"ignored {type(msg).__name__}")
         return []
+
+    def redeem(self, link_token: bytes, nonce: bytes, operation: int, now: int) -> tuple[RedeemReply, Outgoing]:
+        """Spend a link: the caller's reply, and the gossip of the redemption
+        record, which also joins the retransmit backlog."""
+        try:
+            payload, log_tx = self.service.redeem(link_token, nonce, operation, now)
+        except RedeemError as exc:
+            self.events.append(f"redeem_reject reason={exc.reason}")
+            return RedeemReply(ok=False, reason=exc.reason, payload=b""), []
+        self.events.append(f"redeem_ok user={log_tx.user_pk.hex()[:10]}")
+        return RedeemReply(ok=True, reason="", payload=payload), self._gossip_tx(log_tx)
 
     def on_tick(self, now: int) -> Outgoing:
         self.service.expire_links(now)

@@ -9,7 +9,7 @@ the chain as a redemption-log transaction.
 
 Possession of (token, nonce) is the entire redemption credential; the
 service does not re-identify the caller. The log still attributes the
-redemption to the user the link was issued to.
+redemption to the request, and so the user, the link was issued for.
 """
 
 from __future__ import annotations
@@ -239,7 +239,7 @@ class StorageService:
             raise RedeemError(REDEEM_UNKNOWN_TOKEN, "resource vanished")
         link.redeemed = True
         log_tx = build_redemption_log_tx(
-            self.provider, self.keypair, nonce=link.nonce, time=now, user_pk=link.user_pk
+            self.provider, self.keypair, link.nonce, now, link.user_pk, link.request_id
         )
         return resource.payload, log_tx
 

@@ -133,17 +133,23 @@ class LinkDeliveryTx(Memoized):
 
 @dataclass(frozen=True)
 class RedemptionLogTx(Memoized):
-    """Storage-signed on-chain record that a nonce was redeemed by a user."""
+    """Storage-signed on-chain record that a user redeemed the link, with
+    this nonce, that was issued for request ``request_id``."""
 
     nonce: bytes
     time: int
     user_pk: bytes
+    request_id: bytes
     storage_sig: bytes
 
     tag = TAG_REDEMPTION_LOG
-    FIELDS = (("nonce", BYTES), ("time", U64), ("user_pk", BYTES))
+    FIELDS = (("nonce", BYTES), ("time", U64), ("user_pk", BYTES), ("request_id", BYTES))
     SIGNATURE = "storage_sig"
     SIGNER = None
+
+    def __post_init__(self) -> None:
+        if len(self.request_id) != REQUEST_ID_LEN:
+            raise TransactionError(f"request_id must be {REQUEST_ID_LEN} bytes")
 
 
 # a bit vector: a u32 count, then one u8 per bit; the layout of
@@ -228,8 +234,11 @@ def build_link_delivery_tx(provider: Provider, storage: KeyPair, ciphertext: byt
     return _signed(provider, storage, LinkDeliveryTx(ciphertext=ciphertext, storage_sig=b"", request_id=request_id))
 
 
-def build_redemption_log_tx(provider: Provider, storage: KeyPair, nonce: bytes, time: int, user_pk: bytes) -> RedemptionLogTx:
-    return _signed(provider, storage, RedemptionLogTx(nonce=nonce, time=time, user_pk=user_pk, storage_sig=b""))
+def build_redemption_log_tx(
+    provider: Provider, storage: KeyPair, nonce: bytes, time: int, user_pk: bytes, request_id: bytes
+) -> RedemptionLogTx:
+    tx = RedemptionLogTx(nonce=nonce, time=time, user_pk=user_pk, request_id=request_id, storage_sig=b"")
+    return _signed(provider, storage, tx)
 
 
 # --- signature verification ---------------------------------------------------
@@ -310,7 +319,7 @@ def format_transaction(tx: Transaction) -> str:
     if isinstance(tx, LinkDeliveryTx):
         return f"link_delivery(rid={_short(tx.request_id)} ct={len(tx.ciphertext)}B)"
     if isinstance(tx, RedemptionLogTx):
-        return f"redemption(nonce={_short(tx.nonce)} user={_short(tx.user_pk)} time={tx.time})"
+        return f"redemption(rid={_short(tx.request_id)} nonce={_short(tx.nonce)} user={_short(tx.user_pk)} time={tx.time})"
     if isinstance(tx, VerifiedRequestTx):
         return f"verified(rid={_short(tx.request_id)} time={tx.time})"
     return repr(tx)

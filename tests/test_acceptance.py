@@ -262,6 +262,7 @@ def test_c03_replay_resistance(fixtures, pipeline):
         pipeline["grant"].nonce,
         now,
         pipeline["user"].public_key,
+        pipeline["red_tx"].request_id,
     )
     crafted = submit_to_pool(state, fresh, now, pipeline["provider"])
     onchain_ok = exact == "duplicate" and crafted == "replayed_nonce"

@@ -39,7 +39,7 @@ transactions = st.one_of(
         st.integers(0, 2**16 - 1), st.integers(0, 3), rids, times,
     ),
     st.builds(lambda ct, rid: build_link_delivery_tx(P, STORAGE, ct, rid), st.binary(max_size=40), rids),
-    st.builds(lambda n, t: build_redemption_log_tx(P, STORAGE, n, t, USER.public_key), rids, times),
+    st.builds(lambda n, t, rid: build_redemption_log_tx(P, STORAGE, n, t, USER.public_key, rid), rids, times, rids),
     st.builds(
         lambda t, ub, rb, rid: VerifiedRequestTx(time=t, user_bits=ub, req_bits=rb, request_id=rid),
         times, user_bits, req_bits, rids,

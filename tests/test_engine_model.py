@@ -17,7 +17,6 @@ from chainacl.engine import (
     load_model,
     loss_and_gradient,
     model_to_bytes,
-    predict_access,
     save_model,
     train,
     zero_model,
@@ -147,14 +146,6 @@ def test_init_model_is_seed_deterministic():
 def test_init_model_needs_two_dims():
     with pytest.raises(ShapeError):
         init_model((5,))
-
-
-def test_predict_access_thresholds():
-    model = zero_model((DEFAULT_LAYER_DIMS[0], 4))
-    model.biases[0][:] = [5.0, -5.0, 5.0, -5.0]
-    assert predict_access(model, 1, 2) == (True, False, True, False)
-    # 0.5 sits exactly on the default threshold and counts as a grant
-    assert predict_access(zero_model(), 1, 2) == (True, True, True, True)
 
 
 @pytest.fixture(scope="module")

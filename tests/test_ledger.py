@@ -10,6 +10,7 @@ from chainacl.contracts import ContractRuntime, engine_fingerprint
 from chainacl.crypto import Provider, sha256
 from chainacl.engine import ALLOW, DENY, PriorityRule, zero_model
 from chainacl.ledger import (
+    _HANDLERS,
     FRESHNESS_WINDOW,
     LINK_LIFETIME,
     LOG_KINDS,
@@ -40,6 +41,7 @@ from chainacl.ledger import (
     validate_transaction,
 )
 from chainacl.transactions import (
+    _WIRE,
     AccessRequestTx,
     RequestInfo,
     VerifiedRequestTx,
@@ -207,7 +209,7 @@ def test_build_block_skips_stale_and_forged_requests(seal_next, state, p, actors
     assert block is not None, outcome.reason
     assert outcome.skipped == [(stale, REJECT_STALE_TIME), (forged, REJECT_BAD_SIGNATURE)]
     assert block.transactions[0] == good and len(block.transactions) == 2
-    assert {e.request_id for e in outcome.entries} == {good.info.request_id}
+    assert {e.request_id for e in outcome.state.access_log[len(st.access_log):]} == {good.info.request_id}
     applied = apply_block(st, block, runtime, provider=p)
     assert applied.ok, applied.reason
     assert {e.request_id for e in applied.state.access_log} == {good.info.request_id}
@@ -220,13 +222,14 @@ def test_apply_block_refuses_stale_or_forged_request(seal_next, state, p, actors
     st = _registered(seal_next, state, p, actors, users=[user])
     now = 2 + FRESHNESS_WINDOW + 1
     leader = next(v for v in actors["validators"] if v.public_key == slot_leader(now, st.config))
+    logged = len(st.access_log)
     stale = build_access_request_tx(p, user, RequestInfo(3, 1, b"\x41" * 16), time=2)
     forged = _forged_request(p, user, b"\x42" * 16, now)
     for tx, reason in ((stale, REJECT_STALE_TIME), (forged, REJECT_BAD_SIGNATURE)):
         block = seal_block(p, leader, st.height + 1, st.tip_hash, now, (tx,))
         outcome = apply_block(st, block, runtime, provider=p)
         assert not outcome.ok and outcome.reason.startswith(reason + ":"), outcome.reason
-        assert outcome.state is None and outcome.entries == []
+        assert outcome.state is None and outcome.results == [] and len(st.access_log) == logged
 
 
 def test_verified_tx_never_admitted(state):
@@ -262,7 +265,7 @@ def test_reject_reasons_stay_in_closed_set(seal_next, state, p, actors):
         else:
             tx = build_redemption_log_tx(
                 p, actors["storage"], rng.randbytes(16), t,
-                rng.choice(actors["users"]).public_key,
+                rng.choice(actors["users"]).public_key, rng.randbytes(16),
             )
         reason = validate_transaction(st, tx, now=200)
         assert reason is None or reason in REJECT_REASONS
@@ -507,15 +510,15 @@ def test_redemption_closes_the_loop(seal_next, state, p, actors, runtime):
     nonce = b"\x0b" * 16
     st = seal_next(
         st, p, actors, runtime, 4,
-        [build_redemption_log_tx(p, actors["storage"], nonce, 4, user.public_key)],
+        [build_redemption_log_tx(p, actors["storage"], nonce, 4, user.public_key, rid)],
     )
     assert st.requests[rid].status == "redeemed"
     assert st.nonce_registry[nonce].redeemed
-    assert st.outstanding_links[user.public_key] == ()
+    assert st.nonce_registry[nonce].issued_at == st.requests[rid].link_issued_at
     kinds = [e.kind for e in query_access_log(st, user_pk=user.public_key)]
     assert kinds == ["requested", "authenticated", "decided", "link_issued", "redeemed"]
     # replaying the same nonce is inadmissible
-    replay = build_redemption_log_tx(p, actors["storage"], nonce, 5, user.public_key)
+    replay = build_redemption_log_tx(p, actors["storage"], nonce, 5, user.public_key, rid)
     assert validate_transaction(st, replay, now=5, provider=p) == REJECT_REPLAYED_NONCE
 
 
@@ -548,7 +551,7 @@ def test_reused_request_id_is_refused(seal_next, state, p, actors, runtime):
 
     st = seal_next(
         st, p, actors, runtime, 6,
-        [build_redemption_log_tx(p, actors["storage"], b"\x0d" * 16, 6, a.public_key)],
+        [build_redemption_log_tx(p, actors["storage"], b"\x0d" * 16, 6, a.public_key, rid)],
     )
     redeemed = query_access_log(st, kind="redeemed")
     assert [(e.request_id, e.user_pk) for e in redeemed] == [(rid, a.public_key)]
@@ -558,7 +561,10 @@ def test_reused_request_id_is_refused(seal_next, state, p, actors, runtime):
 def test_unlinked_redemption_rejected(seal_next, state, p, actors, runtime):
     st, user, rid = _pipeline_state(seal_next, state, p, actors, runtime)
     stranger = actors["users"][1]
-    tx = build_redemption_log_tx(p, actors["storage"], b"\x0c" * 16, 4, stranger.public_key)
+    tx = build_redemption_log_tx(p, actors["storage"], b"\x0c" * 16, 4, stranger.public_key, rid)
+    assert validate_transaction(st, tx, now=4, provider=p) == REJECT_UNKNOWN_REQUEST
+    # a request id never seen on chain
+    tx = build_redemption_log_tx(p, actors["storage"], b"\x0c" * 16, 4, user.public_key, b"\x0f" * 16)
     assert validate_transaction(st, tx, now=4, provider=p) == REJECT_UNKNOWN_REQUEST
 
 
@@ -572,7 +578,8 @@ def test_expiry_sweep_is_consensus_state(seal_next, state, p, actors, runtime):
         [build_register_user_tx(p, actors["admin"], other.public_key, time=late)],
     )
     assert st.requests[rid].status == "expired"
-    assert st.outstanding_links[user.public_key] == ()
+    late_redemption = build_redemption_log_tx(p, actors["storage"], b"\x0e" * 16, late, user.public_key, rid)
+    assert validate_transaction(st, late_redemption, now=late, provider=p) == REJECT_UNKNOWN_REQUEST
     swept = query_access_log(st, kind="expired")
     assert len(swept) == 1 and swept[0].request_id == rid
 
@@ -629,7 +636,7 @@ def test_leader_adopts_the_state_it_sealed(p, actors):
             assert adopted.access_log == applied.state.access_log
             assert adopted.pending_pool == applied.state.pending_pool
             assert adopted.pool_ids == applied.state.pool_ids
-            assert outcome.results == applied.results and outcome.entries == applied.entries
+            assert outcome.results == applied.results
             st, seals = adopted, seals + 1
         for record in st.requests.values():
             if record.status == "granted":
@@ -637,7 +644,9 @@ def test_leader_adopts_the_state_it_sealed(p, actors):
             elif record.status == "link_issued" and record.request_id not in links:
                 links.append(record.request_id)
                 if rng.random() < 0.5:  # redeemed; the rest expire
-                    pending.append(build_redemption_log_tx(p, actors["storage"], rng.randbytes(16), now + 1, record.user_pk))
+                    pending.append(build_redemption_log_tx(
+                        p, actors["storage"], rng.randbytes(16), now + 1, record.user_pk, record.request_id
+                    ))
         now += rng.choice((1, 1, 2, 90))
         for _ in range(rng.randrange(3)):
             sender = rng.choice(users + [ghost])
@@ -718,7 +727,7 @@ def test_expiry_sweep_order_and_deadline(seal_next, state, p, actors, runtime):
     st = seal_next(st, p, actors, runtime, 3, [link(second), link(kept)])
     st = seal_next(st, p, actors, runtime, 4, [
         link(first),
-        build_redemption_log_tx(p, actors["storage"], b"\x64" * 16, 4, redeemer.public_key),
+        build_redemption_log_tx(p, actors["storage"], b"\x64" * 16, 4, redeemer.public_key, kept),
     ])
     assert st.requests[kept].status == "redeemed"
 
@@ -734,4 +743,39 @@ def test_expiry_sweep_order_and_deadline(seal_next, state, p, actors, runtime):
     swept = query_access_log(st, kind="expired")
     assert [e.request_id for e in swept] == [first, second]
     assert {e.block_height for e in swept} == {st.height}
-    assert st.requests[kept].status == "redeemed" and st.outstanding_links[holder.public_key] == ()
+    assert st.requests[kept].status == "redeemed"
+    assert st.requests[first].status == st.requests[second].status == "expired"
+
+
+def test_redemption_names_its_request(seal_next, state, p, actors, runtime):
+    """A user holding two links redeems the newer one: that request logs
+    ``redeemed`` and the older one later logs ``expired``."""
+    user = actors["users"][0]
+    st = _registered(seal_next, state, p, actors, users=[user])
+    older, newer = b"\x71" * 16, b"\x72" * 16
+    st = seal_next(st, p, actors, runtime, 2, [
+        build_access_request_tx(p, user, RequestInfo(1, 0, older), time=2),
+        build_access_request_tx(p, user, RequestInfo(1, 0, newer), time=2),
+    ])
+    st = seal_next(st, p, actors, runtime, 3, [
+        build_link_delivery_tx(p, actors["storage"], b"link " + rid, rid) for rid in (older, newer)
+    ])
+    st = seal_next(st, p, actors, runtime, 4, [
+        build_redemption_log_tx(p, actors["storage"], b"\x73" * 16, 4, user.public_key, newer),
+    ])
+    late = 3 + LINK_LIFETIME + 1
+    other = actors["users"][1]
+    st = seal_next(st, p, actors, runtime, late, [build_register_user_tx(p, actors["admin"], other.public_key, time=late)])
+
+    def kinds(rid):
+        return [e.kind for e in st.access_log if e.request_id == rid]
+
+    assert kinds(newer)[-1] == "redeemed" and st.requests[newer].status == "redeemed"
+    assert kinds(older)[-1] == "expired" and st.requests[older].status == "expired"
+
+
+def test_every_wire_type_but_the_contract_output_has_a_handler():
+    """A new transaction type must get a ledger handler, or be the one type
+    that only contract execution produces."""
+    wire_types = {cls for cls, _ in _WIRE.values()}
+    assert set(_HANDLERS) == wire_types - {VerifiedRequestTx}

@@ -7,6 +7,7 @@ import pytest
 
 from chainacl.blocks import make_genesis_block
 from chainacl.codec import CodecError
+from chainacl.contracts import RequestResult, encrypt_request_results
 from chainacl.crypto import Provider
 from chainacl.network.live import LiveNode, service_call
 from chainacl.network.messages import (
@@ -26,6 +27,7 @@ from chainacl.network.nodes import StorageCore, ValidatorCore
 from chainacl.network.transport import TransportError, call
 from chainacl.storage import open_link_ciphertext
 from chainacl.transactions import (
+    RedemptionLogTx,
     RequestInfo,
     build_access_request_tx,
     build_register_user_tx,
@@ -70,6 +72,44 @@ def test_unknown_message_kind_and_type_raise_message_error():
 def test_call_to_dead_port_raises():
     with pytest.raises(TransportError):
         call(("127.0.0.1", 1), b"\x01{}", timeout=0.5)
+
+
+def test_live_redemption_joins_the_retransmit_backlog(fixtures):
+    """A redemption through the service API is re-gossiped at a retransmit
+    tick, as one through a ``RedeemCall`` is. No socket is opened."""
+    u, r, op = fixtures.pairs["model_allows"]
+    user = fixtures.users[u]
+    core = StorageCore(
+        name="s0",
+        keypair=fixtures.storage,
+        config=fixtures.config,
+        provider=Provider(2001),
+        validator_names=VNAMES,
+        seed=2001,
+        retransmit_interval=2,
+    )
+    core.service.put_resource(r, fixtures.payload(r))
+    node = LiveNode("s0", core, "127.0.0.1", 0, peers={})
+    now = node.now()
+    result = RequestResult(
+        request_id=b"\x5a" * 16,
+        user_pk=user.public_key,
+        resource_id=r,
+        operation=op,
+        access_list=(True,) * 4,
+        granted=True,
+        time=now,
+    )
+    envelope = encrypt_request_results(Provider(2002), [result], fixtures.config.storage_pk, fixtures.validators[0])
+    ((_, minted), *_) = core.handle(ResultDelivery(envelope=envelope), "v0", now)
+    grant = open_link_ciphertext(fixtures.provider, user, minted.tx.ciphertext)
+
+    assert node.redeem(grant.link_token, grant.nonce, op) == (True, "", fixtures.payload(r))
+    tick = now - now % core.retransmit_interval + core.retransmit_interval
+    resent = [msg.tx for _, msg in core.on_tick(tick) if isinstance(msg.tx, RedemptionLogTx)]
+    assert len(resent) == len(VNAMES)
+    assert {(tx.request_id, tx.nonce, tx.user_pk) for tx in resent} == {(result.request_id, grant.nonce, user.public_key)}
+    assert not core.events  # nothing accumulates for a trace no live node keeps
 
 
 @pytest.fixture

@@ -55,7 +55,7 @@ def _sample_txs(provider, keys):
         build_register_user_tx(provider, keys["admin"], user_pk, time=5),
         build_access_request_tx(provider, keys["user"], _info(), time=9),
         build_link_delivery_tx(provider, keys["storage"], b"ciphertext!", b"r" * 16),
-        build_redemption_log_tx(provider, keys["storage"], b"n" * 16, 30, user_pk),
+        build_redemption_log_tx(provider, keys["storage"], b"n" * 16, 30, user_pk, b"r" * 16),
         VerifiedRequestTx(
             time=9,
             user_bits=(0,) * USER_BITS_WIDTH,
@@ -198,6 +198,7 @@ def test_encoding_injective_over_corpus(provider, keys):
                 nonce=rng.randbytes(16),
                 time=rng.randrange(1 << 32),
                 user_pk=rng.randbytes(64),
+                request_id=rng.randbytes(REQUEST_ID_LEN),
                 storage_sig=rng.randbytes(64),
             )
         else:
@@ -236,6 +237,10 @@ def test_format_is_single_line(provider, keys):
     for tx in _sample_txs(provider, keys):
         text = format_transaction(tx)
         assert "\n" not in text and len(text) < 300
+        # every record about a request names it
+        if not isinstance(tx, RegisterUserTx):
+            rid = tx.info.request_id if isinstance(tx, AccessRequestTx) else tx.request_id
+            assert f"rid={rid.hex()[:12]}" in text
 
 
 @settings(max_examples=100)

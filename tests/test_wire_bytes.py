@@ -3,7 +3,9 @@
 Round-trip tests pass for any self-consistent layout, so they cannot see a
 field that moved. These digests can: they were taken from the encoding
 before the layouts became field tables, and every type's bytes must stay
-exactly as they were. Signatures are deterministic Ed25519 over keys derived
+exactly as they were. The one deliberate change since: the redemption record
+gained the request id it redeems, which re-pinned it and the three digests
+whose bytes carry it (``sealed``, ``block_announce``, ``chain_reply``). Signatures are deterministic Ed25519 over keys derived
 from fixed seeds, so each signed record also pins its signing payload.
 """
 
@@ -49,7 +51,7 @@ TXS = {
         P, USER, RequestInfo(resource_id=513, operation=2, request_id=RID), time=1_700_000_009
     ),
     "link_delivery": build_link_delivery_tx(P, STORAGE, b"sealed link ciphertext", RID),
-    "redemption": build_redemption_log_tx(P, STORAGE, b"n" * 16, 1_700_000_030, USER.public_key),
+    "redemption": build_redemption_log_tx(P, STORAGE, b"n" * 16, 1_700_000_030, USER.public_key, RID),
     "verified": VerifiedRequestTx(
         time=1_700_000_009,
         user_bits=(0,) * 13 + (1, 0, 1),
@@ -101,16 +103,16 @@ TX_DIGESTS = {
     "register": "802908b6d4bb60a9c2541bf7bafd3909b38fb4dd60780d7a7ce354eec498ae56",
     "access_request": "96f083093d5bc2d2be0aa9b252c71b98c664659ad95b2db8e6c40e4f432e922b",
     "link_delivery": "c9a619a9769c7b850adac9ac6a500546846f806f571f8a606c3be36f36020a51",
-    "redemption": "44614a3dfc70d62c9a1debac9e464e327c8e63145695cd6a1c04e060e9e5c4e2",
+    "redemption": "69c68760c36906df33b11561508ab6d8bad21ab4cf51422bb1b903a79649bacb",
     "verified": "aae9d29a1924aa5d487b80126567ace8d55441b6984334145ef15863b90c70d1",
 }
 
 MESSAGE_DIGESTS = {
     "tx_gossip": "87df3b77aec770cffd249ec97da22f70ab2c2229f2f080134fb331a472d61953",
-    "block_announce": "e2894ca5dfab489aacf182d6ea65e6588796df6af968344b000a7520cd981051",
+    "block_announce": "bde1195f89fda5f780c3b0f4e185a7f3927df6ce77576083a3c9f7dfb0117943",
     "tip_notice": "e5190517daa6dca4d5656d01ccbadabe09869dd4bebde29baaffbd8fd441ff1e",
     "chain_query": "ff7ea9afa16aff0fe857c4d8b24c7325211241217b12fee4e5214d85a785d21c",
-    "chain_reply": "a3da1fa71832b725faed8cc70424aef77042afa15e1b6ef7716266734cb34e4f",
+    "chain_reply": "7e9315943ec06589041130e19b561f2bbb163fd2ea6ff8176eebb72ba67ffcb6",
     "result_delivery": "6ec1e85598cbbdfef60fc3629f1219ead898e93b986ded1289fa7bc65a50e393",
     "redeem_call": "96c4b8daeb7ffb606ebe4b0e361be3266822b419e34dc1a479474167d05a34ac",
     "redeem_reply": "db9d792c23545355560fe818c52c7ec656904dc9334f669f9dff15bb83809044",
@@ -118,7 +120,7 @@ MESSAGE_DIGESTS = {
 
 BLOCK_DIGESTS = {
     "genesis": "340f8cd123dcd2ca3b11118a8e271a3025f93cd7ff223972b3fef40f554d2794",
-    "sealed": "34825a4cf9feebfc7a487df888849b0dbf244366d99e6ce30a9e9e5f8b521c5d",
+    "sealed": "96fe6e3b33a35c70860021c191aa1e26309700a2af21716b40cb27c9543aa7ff",
 }
 
 RECORD_DIGESTS = {
