@@ -15,9 +15,15 @@ genesis engine fingerprint pins down across replicas.
 from __future__ import annotations
 
 import heapq
+import multiprocessing
+import os
+import threading
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
+from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Iterable, NamedTuple, Protocol, Sequence
+from typing import Callable, Container, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 from .blocks import (
     Block,
@@ -38,6 +44,7 @@ from .transactions import (
     Transaction,
     VerifiedRequestTx,
     encode_transaction,
+    payload_bytes,
     tx_id,
     verify_transaction_signature,
 )
@@ -175,7 +182,9 @@ class LedgerState:
 
     Everything except ``pending_pool``/``pool_ids`` is consensus state and
     feeds ``state_digest``; ``link_expiry`` is an index derived from
-    ``requests``. Values inside the maps are frozen records; updates replace
+    ``requests``. ``pool_ids`` doubles as the ids whose signatures this node
+    checked when it admitted them, which block execution need not check
+    again. Values inside the maps are frozen records; updates replace
     entries, so ``clone`` is a set of shallow copies.
     """
 
@@ -263,21 +272,28 @@ def _fresh(tx_time: int, now: int) -> bool:
     return abs(tx_time - now) <= FRESHNESS_WINDOW
 
 
+def _link_deadline(issued_at: int) -> int:
+    """The last second at which a link issued at ``issued_at`` is redeemable."""
+    return issued_at + LINK_LIFETIME
+
+
 def validate_transaction(
     state: LedgerState,
     tx: Transaction,
     now: int,
     provider: Provider = _VERIFIER,
     against_pool: bool = True,
+    verified: Container[bytes] = (),
 ) -> str | None:
     """None when admissible against the given state, else a reject reason.
 
     ``against_pool`` treats pool membership as a duplicate too; admission
     wants that, but block execution must judge pool transactions against
-    chain history alone or they would collide with themselves. A block
-    transaction in this node's pool keeps the signature check it passed at
-    admission: its ``tx_id`` covers every field and the signature, so the
-    bytes are the ones verified then, against the same genesis keys.
+    chain history alone or they would collide with themselves.
+    ``verified`` holds the ids whose signatures this node has already
+    checked; a transaction among them keeps that check. Its ``tx_id``
+    covers every field and the signature, so the bytes are the ones
+    verified then, against the same genesis keys.
     """
     txid = tx_id(tx)
     if txid in state.seen_tx_ids or (against_pool and txid in state.pool_ids):
@@ -287,9 +303,7 @@ def validate_transaction(
         return REJECT_INTERNAL_ONLY  # contract output; never admitted from the network
     if isinstance(tx, RegisterUserTx) and tx.admin_pk not in state.admin_pks:
         return REJECT_UNAUTHORIZED  # refused before its signature is checked
-    if (against_pool or txid not in state.pool_ids) and not verify_transaction_signature(
-        provider, tx, storage_pk=state.storage_pk
-    ):
+    if txid not in verified and not verify_transaction_signature(provider, tx, storage_pk=state.storage_pk):
         return REJECT_BAD_SIGNATURE
     return handler.check(state, tx, now)
 
@@ -322,14 +336,21 @@ def _check_link_delivery(state: LedgerState, tx: LinkDeliveryTx, now: int) -> st
 def _check_redemption(state: LedgerState, tx: RedemptionLogTx, now: int) -> str | None:
     """The nonce is checked first, so a replayed record reads as a replay
     whatever became of its request; then the named request must be a
-    ``link_issued`` request of the redeeming user."""
+    ``link_issued`` request of the redeeming user, redeemed within its
+    link's lifetime. An overdue link is refused as the sweep that will
+    expire it would have it refused."""
     if not _fresh(tx.time, now):
         return REJECT_STALE_TIME
     existing = state.nonce_registry.get(tx.nonce)
     if existing is not None and existing.redeemed:
         return REJECT_REPLAYED_NONCE
     record = state.requests.get(tx.request_id)
-    if record is None or record.status != "link_issued" or record.user_pk != tx.user_pk:
+    if (
+        record is None
+        or record.status != "link_issued"
+        or record.user_pk != tx.user_pk
+        or tx.time > _link_deadline(record.link_issued_at)
+    ):
         return REJECT_UNKNOWN_REQUEST
     return None
 
@@ -471,7 +492,7 @@ def _execute_link_delivery(
         link_issued_at=now,
         link_ciphertext=tx.ciphertext,
     )
-    heapq.heappush(state.link_expiry, (now + LINK_LIFETIME, record.seq, tx.request_id))
+    heapq.heappush(state.link_expiry, (_link_deadline(now), record.seq, tx.request_id))
     _log(state, record, "link_issued", height, now, "granted")
 
 
@@ -510,6 +531,7 @@ def _execute_block_txs(
     block_time: int,
     derive: bool,
     provider: Provider,
+    verified: Container[bytes],
 ) -> tuple[Transaction, ...] | None:
     """Shared engine for sealing (derive=True) and verification.
 
@@ -517,7 +539,8 @@ def _execute_block_txs(
     returned tuple (with verification transactions interleaved) is what
     the leader seals. When verifying, the tuple must match the block's
     transactions exactly; any divergence fails the whole block by
-    returning None with outcome.reason set.
+    returning None with outcome.reason set. Signatures of transactions
+    whose ids are in ``verified`` are not checked again.
     """
     included: list[Transaction] = []
     expected_verified: VerifiedRequestTx | None = None
@@ -545,7 +568,7 @@ def _execute_block_txs(
             fail(REJECT_INTERNAL_ONLY, "verification tx without preceding request")
             return None
 
-        reason = validate_transaction(state, tx, block_time, provider, against_pool=False)
+        reason = validate_transaction(state, tx, block_time, provider, against_pool=False, verified=verified)
         if reason is not None:
             if derive:
                 outcome.skipped.append((tx, reason))
@@ -553,15 +576,15 @@ def _execute_block_txs(
             fail(reason, "inadmissible transaction in block")
             return None
 
-        verified = handler.execute(state, outcome, tx, runtime, height, block_time)
+        output = handler.execute(state, outcome, tx, runtime, height, block_time)
         included.append(tx)
         state.seen_tx_ids.add(tx_id(tx))
-        if verified is not None:
+        if output is not None:
             if derive:
-                included.append(verified)
-                state.seen_tx_ids.add(tx_id(verified))
+                included.append(output)
+                state.seen_tx_ids.add(tx_id(output))
             else:
-                expected_verified = verified
+                expected_verified = output
 
     if expected_verified is not None:
         fail("verified_mismatch", "missing contract output at end of block")
@@ -601,8 +624,15 @@ def apply_block(
     block: Block,
     runtime: ContractHooks | None = None,
     provider: Provider = _VERIFIER,
+    verified: Container[bytes] | None = None,
 ) -> ApplyOutcome:
-    """Validate and append one block; the input state is never mutated."""
+    """Validate and append one block; the input state is never mutated.
+
+    ``verified`` holds the ids, transaction ids and block hashes, whose
+    signatures this node has already checked; by default those of its pool.
+    """
+    if verified is None:
+        verified = state.pool_ids
     outcome = ApplyOutcome(ok=False)
     tip = state.chain[-1]
 
@@ -622,7 +652,7 @@ def apply_block(
     if block.validator_pk != leader:
         outcome.reason = "wrong_leader: block not signed by the slot's validator"
         return outcome
-    if not verify_block_signature(provider, block):
+    if block_hash(block) not in verified and not verify_block_signature(provider, block):
         outcome.reason = "bad_block_signature"
         return outcome
     engine_problem = _engine_ok(state, runtime, block.transactions)
@@ -640,6 +670,7 @@ def apply_block(
         block.time,
         derive=False,
         provider=provider,
+        verified=verified,
     )
     if executed is None:
         outcome.results = []
@@ -691,6 +722,7 @@ def build_block(
         now,
         derive=True,
         provider=provider,
+        verified=state.pool_ids,
     )
     assert executed is not None  # derive mode skips instead of failing
     if not executed:
@@ -742,12 +774,7 @@ def poll_request(state: LedgerState, request_id: bytes, now: int | None = None) 
     record = state.requests.get(request_id)
     if record is None:
         return None
-    if (
-        now is not None
-        and record.status == "link_issued"
-        and record.link_issued_at is not None
-        and now > record.link_issued_at + LINK_LIFETIME
-    ):
+    if now is not None and record.status == "link_issued" and now > _link_deadline(record.link_issued_at):
         return replace(record, status="expired")
     return record
 
@@ -810,12 +837,149 @@ def load_chain(path) -> list[Block]:
     return blocks
 
 
+# -- replay: signatures verified ahead of execution ----------------------------
+
+# Forking a worker costs about 12 ms and one verification about 200 us, so a
+# worker repays its start after 12 ms / 200 us = 60 verifications taken off
+# the replaying process. The pool runs from four times that: the margin
+# covers its queue hand-offs and shutdown, which the 12 ms leaves out.
+_POOL_MIN_SIGNATURES = 4 * 12_000 // 200
+# signatures per pool task, whole blocks each: about 25 ms of verification,
+# long against a task's hand-off, short against a replay
+_CHUNK_SIGNATURES = 128
+
+# a worker's forked copy of the replaying caller's provider
+_worker_provider: Provider = _VERIFIER
+
+
+class _Check(NamedTuple):
+    ident: bytes  # tx_id or block hash
+    signer: bytes
+    message: bytes
+    signature: bytes
+
+
+def _signature_checks(blocks: Sequence[Block], storage_pk: bytes) -> list[_Check]:
+    """Each block's signature check, then those of its signed transactions,
+    made as ``apply_block`` would make them."""
+    checks = []
+    for block in blocks:
+        checks.append(_Check(block_hash(block), block.validator_pk, block.signing_payload(), block.validator_sig))
+        for tx in block.transactions:
+            if tx.SIGNATURE is not None:
+                signer = getattr(tx, tx.SIGNER) if tx.SIGNER else storage_pk
+                checks.append(_Check(tx_id(tx), signer, payload_bytes(tx), getattr(tx, tx.SIGNATURE)))
+    return checks
+
+
+def _confirmed(provider: Provider, checks: Sequence[_Check]) -> set[bytes]:
+    """The ids among ``checks`` whose signature verifies."""
+    return {c.ident for c in checks if provider.verify(c.signer, c.message, c.signature)}
+
+
+def _adopt_provider(provider: Provider) -> None:
+    global _worker_provider
+    _worker_provider = provider
+
+
+def _confirmed_in_worker(checks: Sequence[_Check]) -> set[bytes]:
+    return _confirmed(_worker_provider, checks)
+
+
+def _usable_cpus() -> int:
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _chunk_bounds(signatures: Sequence[int]) -> list[tuple[int, int]]:
+    """Consecutive block ranges of about ``_CHUNK_SIGNATURES`` signatures,
+    given each block's count."""
+    bounds, start, count = [], 0, 0
+    for i, n in enumerate(signatures):
+        count += n
+        if count >= _CHUNK_SIGNATURES or i == len(signatures) - 1:
+            bounds.append((start, i + 1))
+            start, count = i + 1, 0
+    return bounds
+
+
+def _verified_ahead(blocks: Sequence[Block], storage_pk: bytes, provider: Provider) -> Iterator[Container[bytes]]:
+    """For each block in turn, the ids whose signatures were verified before
+    it executes.
+
+    Worker processes forked from this one verify chunks of blocks in chain
+    order with their copy of ``provider``, each worker about two chunks
+    ahead of execution. While the caller waits for a chunk, it verifies the
+    last chunk of the chain that no worker has been given. An id found
+    false, or that nothing reached, is left out, so ``apply_block`` checks
+    it in-line as ever. The pool is used only with a CPU to spare, from a
+    process of one thread (forking a threaded process is unsafe), and with
+    enough signatures to repay its start; it has ``usable CPUs - 1``
+    workers. If it cannot start or breaks, the rest is verified in-line.
+    """
+    workers = _usable_cpus() - 1
+    signatures = [1 + sum(tx.SIGNATURE is not None for tx in b.transactions) for b in blocks]
+    if workers < 1 or threading.active_count() != 1 or sum(signatures) < _POOL_MIN_SIGNATURES:
+        for _ in blocks:
+            yield ()
+        return
+    bounds = _chunk_bounds(signatures)
+
+    def checks(chunk: int) -> list[_Check]:
+        start, end = bounds[chunk]
+        return _signature_checks(blocks[start:end], storage_pk)
+
+    futures = {}
+    taken: dict[int, set[bytes]] = {}  # chunks this process verified while it waited
+    given, back = 0, len(bounds)  # chunks [given, back) are neither given out nor taken
+    executor = None
+    try:
+        executor = ProcessPoolExecutor(
+            workers,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt_provider,
+            initargs=(provider,),
+        )
+    except OSError:
+        pass
+    broken = executor is None
+    try:
+        for c, (start, end) in enumerate(bounds):
+            while not broken and given < min(back, c + 2 * workers + 1):
+                try:
+                    futures[given] = executor.submit(_confirmed_in_worker, checks(given))
+                    given += 1
+                except (OSError, BrokenProcessPool):
+                    broken = True
+            ids: Container[bytes] = ()
+            if c in taken:
+                ids = taken.pop(c)
+            elif c in futures:
+                future = futures.pop(c)
+                while not future.done() and given < back:
+                    back -= 1
+                    taken[back] = _confirmed(provider, checks(back))
+                try:
+                    ids = future.result()
+                except BrokenProcessPool:
+                    broken = True
+            for _ in range(start, end):
+                yield ids
+    finally:
+        if executor is not None:
+            executor.shutdown(wait=True, cancel_futures=True)
+
+
 def replay_chain(
     blocks: Sequence[Block],
     runtime: ContractHooks | None = None,
     provider: Provider = _VERIFIER,
 ) -> LedgerState:
-    """Rebuild state from genesis, enforcing every block rule on the way."""
+    """Rebuild state from genesis, enforcing every block rule on the way.
+
+    Signatures are verified ahead of execution where that pays (see
+    ``_verified_ahead``); one not confirmed there is checked in-line, so a
+    forgery fails at the same height with the same error either way.
+    """
     if not blocks:
         raise LedgerError("empty_chain", "no genesis block")
     from .blocks import encode_block
@@ -826,10 +990,11 @@ def replay_chain(
     if encode_block(head) != encode_block(make_genesis_block(head.genesis_config)):
         raise LedgerError("bad_genesis", "genesis block not derived from its config")
     state = genesis(head.genesis_config)
-    for block in blocks[1:]:
-        outcome = apply_block(state, block, runtime, provider)
-        if not outcome.ok:
-            raise LedgerError("invalid_block", f"height {block.height}: {outcome.reason}")
-        assert outcome.state is not None
-        state = outcome.state
+    with closing(_verified_ahead(blocks[1:], head.genesis_config.storage_pk, provider)) as ahead:
+        for block, verified in zip(blocks[1:], ahead):
+            outcome = apply_block(state, block, runtime, provider, verified)
+            if not outcome.ok:
+                raise LedgerError("invalid_block", f"height {block.height}: {outcome.reason}")
+            assert outcome.state is not None
+            state = outcome.state
     return state

@@ -15,7 +15,6 @@ redemption to the request, and so the user, the link was issued for.
 from __future__ import annotations
 
 import heapq
-import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,7 +115,12 @@ def open_link_ciphertext(provider: Provider, user: KeyPair, ciphertext: bytes) -
 
 
 class StorageService:
-    """Single-writer state machine over resource and link tables."""
+    """Single-writer state machine over resource and link tables.
+
+    Link tokens and nonces are bearer credentials, so they come from the
+    provider's randomness: ``os.urandom`` unless the provider is seeded for
+    a simulation. ``seed`` seeds the provider made here when none is given.
+    """
 
     def __init__(
         self,
@@ -132,7 +136,6 @@ class StorageService:
         self.provider = provider or Provider(seed)
         self.link_lifetime = link_lifetime
         self.data_dir = Path(data_dir) if data_dir is not None else None
-        self._rng = random.Random(seed)
         self.resources: dict[int, Resource] = {}
         self.links: dict[bytes, AccessLink] = {}
         self._expiry: list[tuple[int, bytes]] = []  # heap of (expires_at, link_token)
@@ -196,8 +199,8 @@ class StorageService:
             return self._deny(result.request_id, "unknown_resource", now)
 
         link = AccessLink(
-            link_token=self._rng.randbytes(LINK_TOKEN_LEN),
-            nonce=self._rng.randbytes(NONCE_LEN),
+            link_token=self.provider._rand(LINK_TOKEN_LEN),
+            nonce=self.provider._rand(NONCE_LEN),
             resource_id=result.resource_id,
             permitted_ops=tuple(result.access_list),
             user_pk=result.user_pk,

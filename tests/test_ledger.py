@@ -584,6 +584,25 @@ def test_expiry_sweep_is_consensus_state(seal_next, state, p, actors, runtime):
     assert len(swept) == 1 and swept[0].request_id == rid
 
 
+def test_redemption_after_the_link_lifetime_is_refused_before_the_sweep(seal_next, state, p, actors, runtime):
+    """A link issued at t=3 and never swept: a redemption stamped at the
+    last second of its lifetime is admitted, one stamped 308 is refused as
+    the sweep would have it refused, while ``poll_request`` reads expired."""
+    st, user, rid = _pipeline_state(seal_next, state, p, actors, runtime)
+    assert st.requests[rid].link_issued_at == 3 and st.requests[rid].status == "link_issued"
+    assert poll_request(st, rid, now=308).status == "expired"
+    late = build_redemption_log_tx(p, actors["storage"], b"\x0b" * 16, 308, user.public_key, rid)
+    assert validate_transaction(st, late, now=308, provider=p) == REJECT_UNKNOWN_REQUEST
+    assert submit_to_pool(st, late, now=308, provider=p) == REJECT_UNKNOWN_REQUEST
+    deadline = 3 + LINK_LIFETIME
+    on_time = build_redemption_log_tx(p, actors["storage"], b"\x0b" * 16, deadline, user.public_key, rid)
+    assert validate_transaction(st, on_time, now=deadline, provider=p) is None
+    # in a block at 308 the stamp is judged against the lifetime too
+    forced = seal_block(p, _leader_at(308, st.config, actors), st.height + 1, st.tip_hash, 308, (late,))
+    outcome = apply_block(st, forced, runtime, provider=p)
+    assert not outcome.ok and outcome.reason.startswith(REJECT_UNKNOWN_REQUEST + ":"), outcome.reason
+
+
 def test_replay_rejects_forged_genesis(config):
     drifted = Block(
         height=0,

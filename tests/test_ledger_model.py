@@ -1,8 +1,9 @@
 """The request lifecycle against an independent reference model.
 
 A ``hypothesis.stateful`` machine drives the ledger API: register, request,
-seal, deliver a link, redeem any held link in any order, replay a
-redemption, reuse a request id, and advance the clock. A plain-dict model
+seal, deliver a link, redeem any held link in any order, redeem a link past
+its lifetime before a block sweeps it, replay a redemption, reuse a request
+id, and advance the clock. A plain-dict model
 judges and applies the same transactions; after every step each request's
 ``RequestRecord.status`` and its ``access_log`` kind sequence must match the
 model's. No threads are started.
@@ -96,7 +97,8 @@ class Model:
             if tx.nonce in self.nonces:
                 return REJECT_REPLAYED_NONCE
             held = self.status.get(tx.request_id) == "link_issued" and self.owner[tx.request_id] == tx.user_pk
-            return None if held else REJECT_UNKNOWN_REQUEST
+            in_time = held and tx.time <= self.issued_at[tx.request_id] + LINK_LIFETIME
+            return None if in_time else REJECT_UNKNOWN_REQUEST
         return REJECT_DUPLICATE_REQUEST if tx.info.request_id in self.status else None
 
     def _set(self, rid: bytes, status: str, *kinds: str) -> None:
@@ -209,6 +211,18 @@ class LedgerMachine(RuleBasedStateMachine):
         tx = build_redemption_log_tx(P, ACTORS["storage"], self._fresh_bytes(b"nc"), self.now, user_pk, rid)
         if self._submit(tx) is None:
             self.redemptions.append(tx)
+
+    @precondition(lambda self: "link_issued" in self.model.status.values())
+    @rule(data=st.data())
+    def redeem_after_the_lifetime(self, data):
+        """The clock moves past a held link's lifetime with no block to
+        sweep it; the chain must refuse its redemption all the same."""
+        rid = data.draw(st.sampled_from(sorted(r for r, s in self.model.status.items() if s == "link_issued")))
+        self.now = max(self.now, self.model.issued_at[rid] + LINK_LIFETIME + 1)
+        tx = build_redemption_log_tx(
+            P, ACTORS["storage"], self._fresh_bytes(b"nc"), self.now, self.model.owner[rid], rid
+        )
+        assert self._submit(tx) == REJECT_UNKNOWN_REQUEST
 
     @precondition(lambda self: self.redemptions)
     @rule(data=st.data(), exact=st.booleans())

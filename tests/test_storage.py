@@ -260,6 +260,41 @@ def test_distinct_links_distinct_credentials(service, p, actors):
     assert len(tokens) == 8 and len(nonces) == 8
 
 
+def _minted_link(p, actors, provider):
+    svc = StorageService(
+        keypair=actors["storage"],
+        validators=tuple(v.public_key for v in actors["validators"]),
+        provider=provider,
+    )
+    svc.put_resource(5, b"five")
+    assert isinstance(svc.handle_request_result(_granted_envelope(p, actors), now=10), LinkDeliveryTx)
+    (link,) = svc.links.values()
+    return link
+
+
+def test_unseeded_link_credentials_come_from_os_urandom(p, actors, monkeypatch):
+    """Bearer credentials are drawn from the OS CSPRNG, not a seeded PRNG."""
+    import chainacl.crypto
+
+    drawn = []
+
+    def counting_urandom(n):
+        drawn.append(bytes([len(drawn) + 1]) * n)
+        return drawn[-1]
+
+    monkeypatch.setattr(chainacl.crypto.os, "urandom", counting_urandom)
+    link = _minted_link(p, actors, Provider())
+    assert link.link_token in drawn and link.nonce in drawn
+    assert len(link.link_token) == LINK_TOKEN_LEN and len(link.nonce) == NONCE_LEN
+
+
+def test_seeded_link_credentials_are_reproducible(p, actors):
+    first, again = (_minted_link(p, actors, Provider(seed=65)) for _ in range(2))
+    other = _minted_link(p, actors, Provider(seed=66))
+    assert (first.link_token, first.nonce) == (again.link_token, again.nonce)
+    assert first.link_token != other.link_token and first.nonce != other.nonce
+
+
 # -- one envelope per block ------------------------------------------------------
 
 _BATCH = Provider(seed=63)
