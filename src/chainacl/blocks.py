@@ -162,6 +162,11 @@ def seal_block(
     return replace(unsigned, validator_sig=sig)
 
 
+def block_signature_check(block: Block) -> tuple[bytes, bytes, bytes]:
+    """The (signer, signed bytes, signature) the block is verified with."""
+    return block.validator_pk, block.signing_payload(), block.validator_sig
+
+
 def verify_block_signature(provider: Provider, block: Block) -> bool:
-    return provider.verify(block.validator_pk, block.signing_payload(), block.validator_sig)
+    return provider.verify(*block_signature_check(block))
 

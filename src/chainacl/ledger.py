@@ -18,7 +18,7 @@ import heapq
 import multiprocessing
 import os
 import threading
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass, field, replace
@@ -30,6 +30,7 @@ from .blocks import (
     ConfigurationError,
     GenesisConfig,
     block_hash,
+    block_signature_check,
     make_genesis_block,
     seal_block,
     verify_block_signature,
@@ -44,7 +45,7 @@ from .transactions import (
     Transaction,
     VerifiedRequestTx,
     encode_transaction,
-    payload_bytes,
+    transaction_signature_check,
     tx_id,
     verify_transaction_signature,
 )
@@ -839,11 +840,15 @@ def load_chain(path) -> list[Block]:
 
 # -- replay: signatures verified ahead of execution ----------------------------
 
-# Forking a worker costs about 12 ms and one verification about 200 us, so a
-# worker repays its start after 12 ms / 200 us = 60 verifications taken off
-# the replaying process. The pool runs from four times that: the margin
-# covers its queue hand-offs and shutdown, which the 12 ms leaves out.
-_POOL_MIN_SIGNATURES = 4 * 12_000 // 200
+# Where pooled replay starts to beat in-line replay, measured on a 2-vCPU
+# x86 host (one worker; each replay in a fresh process that loads the chain,
+# alternating, 9 of each): 0.87x at 269 signatures, 0.95x at 1,013, 1.16x
+# at 1,506, 1.49x at 2,003 (faster in 9/9). Starting a worker and shutting
+# it down cost only about 10 ms, but the replaying process waits out the
+# first chunk, and there the worker verified at half speed while the
+# replaying process computed (300 verifications: 53 ms beside an idle
+# process, 111 ms beside a busy one).
+_POOL_MIN_SIGNATURES = 1_500
 # signatures per pool task, whole blocks each: about 25 ms of verification,
 # long against a task's hand-off, short against a replay
 _CHUNK_SIGNATURES = 128
@@ -864,17 +869,12 @@ def _signature_checks(blocks: Sequence[Block], storage_pk: bytes) -> list[_Check
     made as ``apply_block`` would make them."""
     checks = []
     for block in blocks:
-        checks.append(_Check(block_hash(block), block.validator_pk, block.signing_payload(), block.validator_sig))
+        checks.append(_Check(block_hash(block), *block_signature_check(block)))
         for tx in block.transactions:
-            if tx.SIGNATURE is not None:
-                signer = getattr(tx, tx.SIGNER) if tx.SIGNER else storage_pk
-                checks.append(_Check(tx_id(tx), signer, payload_bytes(tx), getattr(tx, tx.SIGNATURE)))
+            check = transaction_signature_check(tx, storage_pk)
+            if check is not None:
+                checks.append(_Check(tx_id(tx), *check))
     return checks
-
-
-def _confirmed(provider: Provider, checks: Sequence[_Check]) -> set[bytes]:
-    """The ids among ``checks`` whose signature verifies."""
-    return {c.ident for c in checks if provider.verify(c.signer, c.message, c.signature)}
 
 
 def _adopt_provider(provider: Provider) -> None:
@@ -883,7 +883,8 @@ def _adopt_provider(provider: Provider) -> None:
 
 
 def _confirmed_in_worker(checks: Sequence[_Check]) -> set[bytes]:
-    return _confirmed(_worker_provider, checks)
+    """The ids among ``checks`` whose signature verifies."""
+    return {c.ident for c in checks if _worker_provider.verify(c.signer, c.message, c.signature)}
 
 
 def _usable_cpus() -> int:
@@ -908,13 +909,12 @@ def _verified_ahead(blocks: Sequence[Block], storage_pk: bytes, provider: Provid
 
     Worker processes forked from this one verify chunks of blocks in chain
     order with their copy of ``provider``, each worker about two chunks
-    ahead of execution. While the caller waits for a chunk, it verifies the
-    last chunk of the chain that no worker has been given. An id found
-    false, or that nothing reached, is left out, so ``apply_block`` checks
-    it in-line as ever. The pool is used only with a CPU to spare, from a
-    process of one thread (forking a threaded process is unsafe), and with
-    enough signatures to repay its start; it has ``usable CPUs - 1``
-    workers. If it cannot start or breaks, the rest is verified in-line.
+    ahead of execution. An id found false, or that no worker reached, is
+    left out, so ``apply_block`` checks it in-line as ever. The pool is
+    used only with a CPU to spare, from a process of one thread (forking a
+    threaded process is unsafe), and with enough signatures to repay its
+    start; it has ``usable CPUs - 1`` workers. If it cannot start or
+    breaks, the rest is verified in-line.
     """
     workers = _usable_cpus() - 1
     signatures = [1 + sum(tx.SIGNATURE is not None for tx in b.transactions) for b in blocks]
@@ -928,9 +928,8 @@ def _verified_ahead(blocks: Sequence[Block], storage_pk: bytes, provider: Provid
         start, end = bounds[chunk]
         return _signature_checks(blocks[start:end], storage_pk)
 
-    futures = {}
-    taken: dict[int, set[bytes]] = {}  # chunks this process verified while it waited
-    given, back = 0, len(bounds)  # chunks [given, back) are neither given out nor taken
+    futures: dict[int, Future] = {}
+    given = 0
     executor = None
     try:
         executor = ProcessPoolExecutor(
@@ -944,22 +943,16 @@ def _verified_ahead(blocks: Sequence[Block], storage_pk: bytes, provider: Provid
     broken = executor is None
     try:
         for c, (start, end) in enumerate(bounds):
-            while not broken and given < min(back, c + 2 * workers + 1):
+            while not broken and given < min(len(bounds), c + 2 * workers + 1):
                 try:
                     futures[given] = executor.submit(_confirmed_in_worker, checks(given))
                     given += 1
                 except (OSError, BrokenProcessPool):
                     broken = True
             ids: Container[bytes] = ()
-            if c in taken:
-                ids = taken.pop(c)
-            elif c in futures:
-                future = futures.pop(c)
-                while not future.done() and given < back:
-                    back -= 1
-                    taken[back] = _confirmed(provider, checks(back))
+            if c in futures:
                 try:
-                    ids = future.result()
+                    ids = futures.pop(c).result()
                 except BrokenProcessPool:
                     broken = True
             for _ in range(start, end):

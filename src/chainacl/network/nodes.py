@@ -184,16 +184,13 @@ class StorageCore:
         config,
         provider: Provider,
         validator_names: tuple[str, ...],
-        seed: int | None = None,
         retransmit_interval: int = 5,
         retransmit_backlog: int = 32,
     ):
         self.name = name
         self.validator_names = tuple(validator_names)
         self.retransmit_interval = max(1, retransmit_interval)
-        self.service = StorageService(
-            keypair=keypair, validators=config.validators, provider=provider, seed=seed
-        )
+        self.service = StorageService(keypair=keypair, validators=config.validators, provider=provider)
         self._recent_txs: list = []
         self._backlog = retransmit_backlog
         self.events: list[str] = []

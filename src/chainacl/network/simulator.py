@@ -126,14 +126,12 @@ class World:
         validator_names: tuple[str, ...],
         provider: Provider | None = None,
     ) -> StorageCore:
-        seed = self._derived_seed(name)
         core = StorageCore(
             name=name,
             keypair=keypair,
             config=config,
-            provider=provider or Provider(seed),
+            provider=provider or Provider(self._derived_seed(name)),
             validator_names=validator_names,
-            seed=seed,
             retransmit_interval=self.net.retransmit_interval,
         )
         self.nodes[name] = SimNode(name=name, role=ROLE_STORAGE, core=core)

@@ -119,7 +119,8 @@ class StorageService:
 
     Link tokens and nonces are bearer credentials, so they come from the
     provider's randomness: ``os.urandom`` unless the provider is seeded for
-    a simulation. ``seed`` seeds the provider made here when none is given.
+    a simulation. ``seed`` seeds the provider made here when none is given;
+    every caller in the package passes a provider.
     """
 
     def __init__(

@@ -244,19 +244,30 @@ def build_redemption_log_tx(
 # --- signature verification ---------------------------------------------------
 
 
-def verify_transaction_signature(provider: Provider, tx: Transaction, storage_pk: bytes | None = None) -> bool:
-    """Check the variant's signature against its stated or implied signer.
+def transaction_signature_check(tx: Transaction, storage_pk: bytes | None = None) -> tuple[bytes, bytes, bytes] | None:
+    """The (signer, signed bytes, signature) a signed variant is verified
+    with: its stated signer, or ``storage_pk`` for link and redemption
+    records, which do not carry the storage key. None for an unsigned
+    variant, or when the storage key is needed and not given.
+    """
+    if tx.SIGNATURE is None:
+        return None
+    signer = getattr(tx, tx.SIGNER) if tx.SIGNER else storage_pk
+    if signer is None:
+        return None
+    return signer, payload_bytes(tx), getattr(tx, tx.SIGNATURE)
 
-    Link and redemption records are signed by the storage key, which is not
-    carried in the transaction; pass ``storage_pk`` to check them (without
-    it they fail). Verified transactions pass only when locally derived.
+
+def verify_transaction_signature(provider: Provider, tx: Transaction, storage_pk: bytes | None = None) -> bool:
+    """Check the variant's signature against its stated or implied signer
+    (see ``transaction_signature_check``; without the storage key, link and
+    redemption records fail). Verified transactions pass only when locally
+    derived.
     """
     if tx.SIGNATURE is None:
         return tx.locally_derived
-    signer = getattr(tx, tx.SIGNER) if tx.SIGNER else storage_pk
-    if signer is None:
-        return False
-    return provider.verify(signer, payload_bytes(tx), getattr(tx, tx.SIGNATURE))
+    check = transaction_signature_check(tx, storage_pk)
+    return check is not None and provider.verify(*check)
 
 
 # --- wire encoding -------------------------------------------------------------

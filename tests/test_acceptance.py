@@ -82,7 +82,7 @@ def pipeline(fixtures):
     runtime = fixtures.runtime()
     state = genesis(fixtures.config)
     storage = StorageService(
-        keypair=fixtures.storage, validators=fixtures.config.validators, seed=777
+        keypair=fixtures.storage, validators=fixtures.config.validators, provider=Provider(777)
     )
     u, r, op = fixtures.pairs["model_allows"]
     storage.put_resource(r, fixtures.payload(r))
@@ -205,7 +205,7 @@ def test_c03_replay_resistance(fixtures, pipeline):
     rng = random.Random(20240819)
     p = Provider(333)
     storage = StorageService(
-        keypair=fixtures.storage, validators=fixtures.config.validators, seed=333
+        keypair=fixtures.storage, validators=fixtures.config.validators, provider=Provider(333)
     )
     u, r, op = fixtures.pairs["model_allows"]
     storage.put_resource(r, fixtures.payload(r))

@@ -212,7 +212,6 @@ def verb_net(fixtures, tmp_path_factory):
         config=fixtures.config,
         provider=Provider(401),
         validator_names=("v0",),
-        seed=401,
         retransmit_interval=2,
     )
     for rid in {r for (_, r, _) in fixtures.pairs.values()}:

@@ -85,7 +85,6 @@ def test_live_redemption_joins_the_retransmit_backlog(fixtures):
         config=fixtures.config,
         provider=Provider(2001),
         validator_names=VNAMES,
-        seed=2001,
         retransmit_interval=2,
     )
     core.service.put_resource(r, fixtures.payload(r))
@@ -136,7 +135,6 @@ def cluster(fixtures):
         config=fixtures.config,
         provider=Provider(2000),
         validator_names=VNAMES,
-        seed=2000,
         retransmit_interval=2,
     )
     pair_resources = {r for (_, r, _) in fixtures.pairs.values()}

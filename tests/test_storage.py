@@ -46,7 +46,6 @@ def service(p, actors):
         keypair=actors["storage"],
         validators=tuple(v.public_key for v in actors["validators"]),
         provider=p,
-        seed=61,
     )
     svc.put_resource(5, b"the quick brown payload", name="r5")
     return svc
@@ -308,7 +307,6 @@ def _batch_service() -> StorageService:
         keypair=_STORAGE,
         validators=tuple(v.public_key for v in _VALIDATORS),
         provider=Provider(seed=64),
-        seed=64,
     )
     svc.put_resource(5, b"five")
     svc.put_resource(6, b"six")

@@ -30,6 +30,8 @@ from chainacl.transactions import (
     format_transaction,
     operation_index,
     operation_name,
+    payload_bytes,
+    transaction_signature_check,
     tx_id,
     verify_transaction_signature,
 )
@@ -128,7 +130,7 @@ def test_verified_tx_validation():
 
 
 def test_signatures_verify_and_localize(provider, keys):
-    reg, req, link, redeem, _ = _sample_txs(provider, keys)
+    reg, req, link, redeem, unsigned = _sample_txs(provider, keys)
     storage_pk = keys["storage"].public_key
     assert verify_transaction_signature(provider, reg)
     assert verify_transaction_signature(provider, req)
@@ -139,6 +141,12 @@ def test_signatures_verify_and_localize(provider, keys):
     assert not verify_transaction_signature(provider, redeem)
     wrong = keys["user"].public_key
     assert not verify_transaction_signature(provider, link, storage_pk=wrong)
+    # the triple that in-line verification and replay's workers both verify
+    assert transaction_signature_check(reg) == (reg.admin_pk, payload_bytes(reg), reg.admin_sig)
+    assert transaction_signature_check(req)[0] == req.user_pk
+    assert transaction_signature_check(link) is None
+    assert transaction_signature_check(redeem, storage_pk)[0] == storage_pk
+    assert transaction_signature_check(unsigned, storage_pk) is None
 
 
 def test_signature_covers_payload(provider, keys):
