@@ -44,7 +44,6 @@ from .transactions import (
     RegisterUserTx,
     Transaction,
     VerifiedRequestTx,
-    encode_transaction,
     transaction_signature_check,
     tx_id,
     verify_transaction_signature,
@@ -185,8 +184,10 @@ class LedgerState:
     feeds ``state_digest``; ``link_expiry`` is an index derived from
     ``requests``. ``pool_ids`` doubles as the ids whose signatures this node
     checked when it admitted them, which block execution need not check
-    again. Values inside the maps are frozen records; updates replace
-    entries, so ``clone`` is a set of shallow copies.
+    again. ``apply_block`` writes the consensus state in place, each write
+    through an undo journal that takes a failed block back out. Values
+    inside the maps are frozen records that writes replace, never edit, so
+    ``clone``, which ``build_block`` executes on, is a set of shallow copies.
     """
 
     def __init__(self, config: GenesisConfig):
@@ -273,8 +274,9 @@ def _fresh(tx_time: int, now: int) -> bool:
     return abs(tx_time - now) <= FRESHNESS_WINDOW
 
 
-def _link_deadline(issued_at: int) -> int:
-    """The last second at which a link issued at ``issued_at`` is redeemable."""
+def link_deadline(issued_at: int) -> int:
+    """The last second at which a link issued at ``issued_at`` is redeemable;
+    the chain and the storage node both hold links to it."""
     return issued_at + LINK_LIFETIME
 
 
@@ -350,7 +352,7 @@ def _check_redemption(state: LedgerState, tx: RedemptionLogTx, now: int) -> str 
         record is None
         or record.status != "link_issued"
         or record.user_pk != tx.user_pk
-        or tx.time > _link_deadline(record.link_issued_at)
+        or tx.time > link_deadline(record.link_issued_at)
     ):
         return REJECT_UNKNOWN_REQUEST
     return None
@@ -381,8 +383,60 @@ class ApplyOutcome:
     skipped: list[tuple[Transaction, str]] = field(default_factory=list)
 
 
+_ABSENT = object()
+
+
+class _Journal:
+    """Undo entries for one block's writes to consensus state.
+
+    Block execution writes ``users``, ``nonce_registry``, ``requests``,
+    ``access_log``, ``seen_tx_ids`` and ``link_expiry`` only through these
+    methods, each of which records how to take its write back.
+    ``rollback`` undoes them newest first, which restores every container
+    to exactly what it held before the first write.
+    """
+
+    def __init__(self):
+        self._undo: list[tuple] = []  # (callable, *args)
+        self._saved_heaps: set[int] = set()
+
+    def put(self, table: dict, key, value) -> None:
+        old = table.get(key, _ABSENT)
+        self._undo.append((table.pop, key) if old is _ABSENT else (table.__setitem__, key, old))
+        table[key] = value
+
+    def append(self, items: list, item) -> None:
+        self._undo.append((items.pop,))
+        items.append(item)
+
+    def add(self, members: set, member) -> None:
+        if member not in members:
+            self._undo.append((members.discard, member))
+            members.add(member)
+
+    def heappush(self, heap: list, item) -> None:
+        self._save_heap(heap)
+        heapq.heappush(heap, item)
+
+    def heappop(self, heap: list):
+        self._save_heap(heap)
+        return heapq.heappop(heap)
+
+    def _save_heap(self, heap: list) -> None:
+        # a heap write moves other entries, so its undo entry is the whole
+        # heap as the block found it: the links of one lifetime, not history
+        if id(heap) not in self._saved_heaps:
+            self._saved_heaps.add(id(heap))
+            self._undo.append((heap.__setitem__, slice(None), list(heap)))
+
+    def rollback(self) -> None:
+        for undo, *args in reversed(self._undo):
+            undo(*args)
+
+
 def _log(
     state: LedgerState,
+    journal: _Journal,
     record: RequestRecord,
     kind: str,
     height: int,
@@ -391,7 +445,7 @@ def _log(
     reason: str = "",
 ) -> None:
     """Append one audit entry about ``record``'s request."""
-    state.access_log.append(LogEntry(
+    journal.append(state.access_log, LogEntry(
         kind=kind,
         user_pk=record.user_pk,
         resource_id=record.resource_id,
@@ -404,36 +458,38 @@ def _log(
     ))
 
 
-def _sweep_expired(state: LedgerState, height: int, now: int) -> None:
+def _sweep_expired(state: LedgerState, journal: _Journal, height: int, now: int) -> None:
     """Expire every issued link whose lifetime ended before ``now``, logging
     them in request order. A request gets at most one link, so an index
     entry whose link was since redeemed is dropped as it comes due."""
     due: dict[int, RequestRecord] = {}
     heap = state.link_expiry
     while heap and heap[0][0] < now:
-        _, seq, rid = heapq.heappop(heap)
+        _, seq, rid = journal.heappop(heap)
         record = state.requests[rid]
         if record.status == "link_issued":
             due[seq] = record
     for seq in sorted(due):
         record = due[seq]
-        state.requests[record.request_id] = replace(record, status="expired")
-        _log(state, record, "expired", height, now, "denied", "link_lifetime_elapsed")
+        journal.put(state.requests, record.request_id, replace(record, status="expired"))
+        _log(state, journal, record, "expired", height, now, "denied", "link_lifetime_elapsed")
 
 
-# Executors share one signature: (state, outcome, tx, runtime, height, now).
-# Each applies one admitted transaction; only an access request returns
-# anything, the verification transaction derived from it.
+# Executors share one signature: (state, journal, outcome, tx, runtime,
+# height, now). Each applies one admitted transaction, writing through the
+# journal; only an access request returns anything, the verification
+# transaction derived from it.
 
 
 def _execute_register(
-    state: LedgerState, outcome: ApplyOutcome, tx: RegisterUserTx, runtime, height: int, now: int
+    state: LedgerState, journal: _Journal, outcome: ApplyOutcome, tx: RegisterUserTx, runtime, height: int, now: int
 ) -> None:
-    state.users[sha256(tx.user_pk)] = UserRecord(user_index=len(state.users), registered_at=tx.time)
+    journal.put(state.users, sha256(tx.user_pk), UserRecord(user_index=len(state.users), registered_at=tx.time))
 
 
 def _execute_access_request(
     state: LedgerState,
+    journal: _Journal,
     outcome: ApplyOutcome,
     tx: AccessRequestTx,
     runtime: ContractHooks,
@@ -454,58 +510,58 @@ def _execute_access_request(
         submitted_at=tx.time,
         seq=len(state.requests),
     )
-    state.requests[rid] = record
-    _log(state, record, "requested", height, tx.time)
+    journal.put(state.requests, rid, record)
+    _log(state, journal, record, "requested", height, tx.time)
 
     verified, failure = runtime.authenticate(tx, state)
     if verified is None:
         reason = failure or "unspecified"
-        state.requests[rid] = replace(record, status="denied", deny_reason=reason)
-        _log(state, record, "denied", height, now, "denied", reason)
+        journal.put(state.requests, rid, replace(record, status="denied", deny_reason=reason))
+        _log(state, journal, record, "denied", height, now, "denied", reason)
         return None
 
-    _log(state, record, "authenticated", height, now)
+    _log(state, journal, record, "authenticated", height, now)
 
     result = runtime.authorize(verified, tx, now)
     outcome.results.append(result)
     decision = "granted" if result.granted else "denied"
     basis = "rule_override" if any(result.overridden) else "model"
-    state.requests[rid] = replace(
+    journal.put(state.requests, rid, replace(
         record,
         status=decision,
+        deny_reason="" if result.granted else "policy",
         access_list=tuple(result.access_list),
         overridden=tuple(result.overridden),
-    )
-    _log(state, record, "decided", height, now, decision, basis)
+    ))
+    _log(state, journal, record, "decided", height, now, decision, basis)
     if not result.granted:
-        state.requests[rid] = replace(state.requests[rid], deny_reason="policy")
-        _log(state, record, "denied", height, now, "denied", "policy")
+        _log(state, journal, record, "denied", height, now, "denied", "policy")
     return verified
 
 
 def _execute_link_delivery(
-    state: LedgerState, outcome: ApplyOutcome, tx: LinkDeliveryTx, runtime, height: int, now: int
+    state: LedgerState, journal: _Journal, outcome: ApplyOutcome, tx: LinkDeliveryTx, runtime, height: int, now: int
 ) -> None:
     record = state.requests[tx.request_id]
-    state.requests[tx.request_id] = replace(
+    journal.put(state.requests, tx.request_id, replace(
         record,
         status="link_issued",
         link_issued_at=now,
         link_ciphertext=tx.ciphertext,
-    )
-    heapq.heappush(state.link_expiry, (_link_deadline(now), record.seq, tx.request_id))
-    _log(state, record, "link_issued", height, now, "granted")
+    ))
+    journal.heappush(state.link_expiry, (link_deadline(now), record.seq, tx.request_id))
+    _log(state, journal, record, "link_issued", height, now, "granted")
 
 
 def _execute_redemption(
-    state: LedgerState, outcome: ApplyOutcome, tx: RedemptionLogTx, runtime, height: int, now: int
+    state: LedgerState, journal: _Journal, outcome: ApplyOutcome, tx: RedemptionLogTx, runtime, height: int, now: int
 ) -> None:
     record = state.requests[tx.request_id]  # admitted: a link_issued request of tx.user_pk
-    state.nonce_registry[tx.nonce] = NonceRecord(
+    journal.put(state.nonce_registry, tx.nonce, NonceRecord(
         issued_at=record.link_issued_at, redeemed=True, redeemed_at=tx.time
-    )
-    state.requests[tx.request_id] = replace(record, status="redeemed", redeemed_at=tx.time)
-    _log(state, record, "redeemed", height, tx.time, "granted")
+    ))
+    journal.put(state.requests, tx.request_id, replace(record, status="redeemed", redeemed_at=tx.time))
+    _log(state, journal, record, "redeemed", height, tx.time, "granted")
 
 
 class _Handler(NamedTuple):
@@ -525,6 +581,7 @@ _HANDLERS: dict[type, _Handler] = {
 
 def _execute_block_txs(
     state: LedgerState,
+    journal: _Journal,
     outcome: ApplyOutcome,
     txs: Sequence[Transaction],
     runtime: ContractHooks | None,
@@ -541,7 +598,8 @@ def _execute_block_txs(
     the leader seals. When verifying, the tuple must match the block's
     transactions exactly; any divergence fails the whole block by
     returning None with outcome.reason set. Signatures of transactions
-    whose ids are in ``verified`` are not checked again.
+    whose ids are in ``verified`` are not checked again. Every write to
+    ``state`` goes through ``journal``.
     """
     included: list[Transaction] = []
     expected_verified: VerifiedRequestTx | None = None
@@ -552,12 +610,13 @@ def _execute_block_txs(
     for tx in txs:
         if expected_verified is not None:
             # verification mode only: the tx after a passing request must
-            # be the bit-identical contract output
-            if not isinstance(tx, VerifiedRequestTx) or encode_transaction(tx) != encode_transaction(expected_verified):
+            # be the bit-identical contract output. The codec has exactly one
+            # encoding per value, so equal values are equal bytes.
+            if tx != expected_verified:
                 fail("verified_mismatch", "contract re-derivation disagrees with block")
                 return None
-            included.append(expected_verified)
-            state.seen_tx_ids.add(tx_id(expected_verified))
+            included.append(tx)
+            journal.add(state.seen_tx_ids, tx_id(tx))
             expected_verified = None
             continue
 
@@ -577,13 +636,13 @@ def _execute_block_txs(
             fail(reason, "inadmissible transaction in block")
             return None
 
-        output = handler.execute(state, outcome, tx, runtime, height, block_time)
+        output = handler.execute(state, journal, outcome, tx, runtime, height, block_time)
         included.append(tx)
-        state.seen_tx_ids.add(tx_id(tx))
+        journal.add(state.seen_tx_ids, tx_id(tx))
         if output is not None:
             if derive:
                 included.append(output)
-                state.seen_tx_ids.add(tx_id(output))
+                journal.add(state.seen_tx_ids, tx_id(output))
             else:
                 expected_verified = output
 
@@ -591,7 +650,7 @@ def _execute_block_txs(
         fail("verified_mismatch", "missing contract output at end of block")
         return None
 
-    _sweep_expired(state, height, block_time)
+    _sweep_expired(state, journal, height, block_time)
     return tuple(included)
 
 
@@ -609,15 +668,15 @@ def _engine_ok(state: LedgerState, runtime: ContractHooks | None, txs: Iterable[
     return None
 
 
-def _commit(scratch: LedgerState, block: Block, outcome: ApplyOutcome) -> None:
-    """Append ``block`` to the executed scratch state, drop its transactions
-    from the pool, and make the scratch state the outcome."""
-    scratch.chain.append(block)
+def _commit(state: LedgerState, block: Block, outcome: ApplyOutcome) -> None:
+    """Append ``block`` to the state that executed it, drop its transactions
+    from the pool, and make that state the outcome."""
+    state.chain.append(block)
     included = {tx_id(tx) for tx in block.transactions}
-    scratch.pending_pool = [tx for tx in scratch.pending_pool if tx_id(tx) not in included]
-    scratch.pool_ids -= included
+    state.pending_pool = [tx for tx in state.pending_pool if tx_id(tx) not in included]
+    state.pool_ids -= included
     outcome.ok = True
-    outcome.state = scratch
+    outcome.state = state
 
 
 def apply_block(
@@ -627,10 +686,16 @@ def apply_block(
     provider: Provider = _VERIFIER,
     verified: Container[bytes] | None = None,
 ) -> ApplyOutcome:
-    """Validate and append one block; the input state is never mutated.
+    """Validate one block and execute it on ``state`` in place.
 
-    ``verified`` holds the ids, transaction ids and block hashes, whose
-    signatures this node has already checked; by default those of its pool.
+    On success ``outcome.state is state``, now holding the block. On a
+    rejected block ``outcome.state`` is None and ``state`` is exactly as
+    it was: the block's writes go through an undo journal that lives for
+    this call and is rolled back. An exception raised while the block
+    executes, by the contract hooks for one, is re-raised after the same
+    rollback. ``verified`` holds the ids, transaction ids and block hashes,
+    whose signatures this node has already checked; by default those of
+    its pool.
     """
     if verified is None:
         verified = state.pool_ids
@@ -661,23 +726,29 @@ def apply_block(
         outcome.reason = engine_problem
         return outcome
 
-    scratch = state.clone()
-    executed = _execute_block_txs(
-        scratch,
-        outcome,
-        block.transactions,
-        runtime,
-        block.height,
-        block.time,
-        derive=False,
-        provider=provider,
-        verified=verified,
-    )
+    journal = _Journal()
+    try:
+        executed = _execute_block_txs(
+            state,
+            journal,
+            outcome,
+            block.transactions,
+            runtime,
+            block.height,
+            block.time,
+            derive=False,
+            provider=provider,
+            verified=verified,
+        )
+    except BaseException:
+        journal.rollback()
+        raise
     if executed is None:
+        journal.rollback()
         outcome.results = []
         return outcome
 
-    _commit(scratch, block, outcome)
+    _commit(state, block, outcome)
     return outcome
 
 
@@ -695,7 +766,9 @@ def build_block(
     current slot. On a seal, ``outcome.state`` is the state after the block,
     exactly what ``apply_block`` on the input state would return, so the
     leader adopts it instead of executing its own block a second time.
-    Skipped transactions stay in that state's pool.
+    Skipped transactions stay in that state's pool. The block executes on a
+    ``clone``, so the input state is left as it was: a caller may still
+    apply the sealed block to it.
     """
     outcome = ApplyOutcome(ok=False)
     tip = state.chain[-1]
@@ -716,6 +789,7 @@ def build_block(
     scratch = state.clone()
     executed = _execute_block_txs(
         scratch,
+        _Journal(),
         outcome,
         list(state.pending_pool),
         runtime,
@@ -775,7 +849,7 @@ def poll_request(state: LedgerState, request_id: bytes, now: int | None = None) 
     record = state.requests.get(request_id)
     if record is None:
         return None
-    if now is not None and record.status == "link_issued" and now > _link_deadline(record.link_issued_at):
+    if now is not None and record.status == "link_issued" and now > link_deadline(record.link_issued_at):
         return replace(record, status="expired")
     return record
 

@@ -21,7 +21,7 @@ from pathlib import Path
 from .codec import BYTES, U64, decode_record, encode_record
 from .contracts import EnvelopeError, RequestResult, decrypt_request_results
 from .crypto import KeyPair, Provider, sha256
-from .ledger import LINK_LIFETIME
+from .ledger import link_deadline
 from .transactions import (
     LinkDeliveryTx,
     N_OPERATIONS,
@@ -100,7 +100,7 @@ class LinkGrant:
 
     @property
     def expires_at(self) -> int:
-        return self.issued_at + LINK_LIFETIME
+        return link_deadline(self.issued_at)
 
     def encode(self) -> bytes:
         return encode_record(self, self.FIELDS)
@@ -120,7 +120,9 @@ class StorageService:
     Link tokens and nonces are bearer credentials, so they come from the
     provider's randomness: ``os.urandom`` unless the provider is seeded for
     a simulation. ``seed`` seeds the provider made here when none is given;
-    every caller in the package passes a provider.
+    every caller in the package passes a provider. A link is redeemable up
+    to ``ledger.link_deadline`` of its issue time, the deadline the chain
+    holds its redemption record to.
     """
 
     def __init__(
@@ -130,12 +132,10 @@ class StorageService:
         provider: Provider | None = None,
         seed: int | None = None,
         data_dir: str | Path | None = None,
-        link_lifetime: int = LINK_LIFETIME,
     ):
         self.keypair = keypair
         self.validators = tuple(validators)
         self.provider = provider or Provider(seed)
-        self.link_lifetime = link_lifetime
         self.data_dir = Path(data_dir) if data_dir is not None else None
         self.resources: dict[int, Resource] = {}
         self.links: dict[bytes, AccessLink] = {}
@@ -206,7 +206,7 @@ class StorageService:
             permitted_ops=tuple(result.access_list),
             user_pk=result.user_pk,
             issued_at=now,
-            expires_at=now + self.link_lifetime,
+            expires_at=link_deadline(now),
             request_id=result.request_id,
         )
         self.links[link.link_token] = link

@@ -2,6 +2,7 @@
 
 import os
 import random
+from dataclasses import replace
 
 import pytest
 
@@ -455,8 +456,9 @@ def test_state_digest_excludes_pool(state, p, actors):
 
 
 def test_state_digest_tracks_replicated_state(seal_next, state, p, actors):
+    before = state_digest(state)  # apply_block executes on the state it is given
     st = _registered(seal_next, state, p, actors, users=actors["users"][:1])
-    assert state_digest(st) != state_digest(state)
+    assert state_digest(st) != before
 
 
 def test_query_access_log_filters(state, p, actors, runtime):
@@ -798,3 +800,186 @@ def test_every_wire_type_but_the_contract_output_has_a_handler():
     that only contract execution produces."""
     wire_types = {cls for cls, _ in _WIRE.values()}
     assert set(_HANDLERS) == wire_types - {VerifiedRequestTx}
+
+
+# -- in-place execution under the undo journal -----------------------------------
+
+
+def _fields(st):
+    """Every field of a ledger state, in a form equal only for equal contents
+    and order; ``seq``, which records don't compare, is listed beside them."""
+    return {
+        "chain": list(st.chain),
+        "users": list(st.users.items()),
+        "nonce_registry": list(st.nonce_registry.items()),
+        "access_log": list(st.access_log),
+        "requests": [(rid, r, r.seq) for rid, r in st.requests.items()],
+        "seen_tx_ids": set(st.seen_tx_ids),
+        "pending_pool": list(st.pending_pool),
+        "pool_ids": set(st.pool_ids),
+        "link_expiry": list(st.link_expiry),
+    }
+
+
+def test_in_place_apply_equals_apply_on_a_clone(p, actors):
+    """At every height of a seeded run, ``apply_block`` on the state itself
+    gives that state exactly what ``apply_block(state.clone(), block)``, the
+    reference, gives the copy; the run seals all five transaction kinds,
+    model grants, rule denials, an unregistered sender, expiries and a
+    skipped stale request, so pool entries outlive their block."""
+    rng = random.Random(23)
+    runtime = ContractRuntime(zero_model(), [PriorityRule(5, None, 2, None, DENY)])
+    config = GenesisConfig(
+        admin_pks=(actors["admin"].public_key,),
+        validators=tuple(v.public_key for v in actors["validators"]),
+        storage_pk=actors["storage"].public_key,
+        engine_fingerprint=runtime.fingerprint(),
+    )
+    users, ghost = actors["users"][:3], actors["users"][3]
+    st = genesis(config)
+    pending = [build_register_user_tx(p, actors["admin"], u.public_key, time=1) for u in users]
+    now, links = 1, set()
+    for step in range(40):
+        for tx in pending:
+            assert submit_to_pool(st, tx, now=now, provider=p) is None
+        pending = []
+        if step == 5:  # pooled fresh, stale by the time it is sealed
+            stale = build_access_request_tx(p, users[0], RequestInfo(1, 0, b"\xef" * 16), time=now)
+            assert submit_to_pool(st, stale, now=now, provider=p) is None
+            now += FRESHNESS_WINDOW + 1
+        block, _ = build_block(st, _leader_at(now, config, actors), now, runtime, provider=p)
+        if block is not None:
+            reference = apply_block(st.clone(), block, runtime, provider=p)
+            applied = apply_block(st, block, runtime, provider=p)
+            assert reference.ok and applied.ok, (reference.reason, applied.reason)
+            assert applied.state is st
+            assert state_digest(st) == state_digest(reference.state)
+            assert _fields(st) == _fields(reference.state)
+            assert applied.results == reference.results
+        for record in st.requests.values():
+            if record.status == "granted":
+                pending.append(build_link_delivery_tx(p, actors["storage"], rng.randbytes(24), record.request_id))
+            elif record.status == "link_issued" and record.request_id not in links:
+                links.add(record.request_id)
+                if rng.random() < 0.5:  # redeemed; the rest expire
+                    pending.append(build_redemption_log_tx(
+                        p, actors["storage"], rng.randbytes(16), now + 1, record.user_pk, record.request_id
+                    ))
+        now += rng.choice((1, 1, 2, 90))
+        for _ in range(rng.randrange(3)):
+            info = RequestInfo(rng.randrange(4), rng.randrange(4), rng.randbytes(16))
+            pending.append(build_access_request_tx(p, rng.choice(users + [ghost]), info, time=now))
+    assert {type(tx) for block in st.chain[1:] for tx in block.transactions} == {cls for cls, _ in _WIRE.values()}
+    assert {e.kind for e in st.access_log} == set(LOG_KINDS)
+    assert stale in st.pending_pool
+
+
+
+def _rich_state(seal_next, state, p, actors, runtime):
+    """A request with a live link, another granted and awaiting its link,
+    and a user still to register: every kind of write has something to do."""
+    st, user, rid = _pipeline_state(seal_next, state, p, actors, runtime)
+    waiting = b"\x91" * 16
+    st = seal_next(st, p, actors, runtime, 4, [build_access_request_tx(p, user, RequestInfo(2, 0, waiting), time=4)])
+    assert st.requests[waiting].status == "granted" and st.link_expiry
+    return st, user, rid, waiting
+
+
+def _assert_untouched(st, before, outcome):
+    assert outcome.state is None and outcome.results == []
+    assert _fields(st) == before
+
+
+def test_rejected_block_rolls_back_the_transactions_it_executed(seal_next, state, p, actors, runtime):
+    """A forged redemption after a registration, a request, a link delivery
+    and a valid redemption: the block is refused and every write of the
+    four executed transactions is taken back."""
+    st, user, rid, waiting = _rich_state(seal_next, state, p, actors, runtime)
+    now = 5
+    executed = [
+        build_register_user_tx(p, actors["admin"], actors["users"][1].public_key, time=now),
+        build_access_request_tx(p, user, RequestInfo(3, 1, b"\x92" * 16), time=now),
+        build_link_delivery_tx(p, actors["storage"], b"second link", waiting),
+        build_redemption_log_tx(p, actors["storage"], b"\x93" * 16, now, user.public_key, rid),
+    ]
+    for tx in executed:
+        assert submit_to_pool(st, tx, now=now, provider=p) is None
+    sealed, _ = build_block(st, _leader_at(now, st.config, actors), now, runtime, provider=p)
+    assert len(sealed.transactions) == 5  # the request's verification record included
+    valid = build_redemption_log_tx(p, actors["storage"], b"\x94" * 16, now, user.public_key, waiting)
+    forged = replace(valid, storage_sig=b"\x00" * 64)
+    block = seal_block(p, _leader_at(now, st.config, actors), st.height + 1, st.tip_hash, now,
+                       sealed.transactions + (forged,))
+    before = _fields(st)
+    outcome = apply_block(st, block, runtime, provider=p)
+    assert not outcome.ok and outcome.reason.startswith(REJECT_BAD_SIGNATURE + ":"), outcome.reason
+    _assert_untouched(st, before, outcome)
+    # the same state still takes the block without the forgery
+    assert apply_block(st, sealed, runtime, provider=p).state is st
+    assert st.requests[rid].status == "redeemed" and st.requests[waiting].status == "link_issued"
+
+
+@pytest.mark.parametrize("field_name", ["time", "user_bits", "req_bits", "request_id"])
+def test_verified_mismatch_in_one_field_rolls_back(seal_next, state, p, actors, runtime, field_name):
+    st, user, rid, waiting = _rich_state(seal_next, state, p, actors, runtime)
+    now = 5
+    for tx in (
+        build_link_delivery_tx(p, actors["storage"], b"second link", waiting),
+        build_access_request_tx(p, user, RequestInfo(3, 1, b"\x95" * 16), time=now),
+    ):
+        assert submit_to_pool(st, tx, now=now, provider=p) is None
+    sealed, _ = build_block(st, _leader_at(now, st.config, actors), now, runtime, provider=p)
+    *head, verified = sealed.transactions
+    assert isinstance(verified, VerifiedRequestTx)
+    value = getattr(verified, field_name)
+    if field_name == "time":
+        value += 1
+    elif field_name == "request_id":
+        value = b"\x96" * 16
+    else:
+        value = (1 - value[0],) + value[1:]
+    tampered = replace(verified, **{field_name: value})
+    block = seal_block(p, _leader_at(now, st.config, actors), st.height + 1, st.tip_hash, now, (*head, tampered))
+    before = _fields(st)
+    outcome = apply_block(st, block, runtime, provider=p)
+    assert not outcome.ok and outcome.reason.startswith("verified_mismatch:"), outcome.reason
+    _assert_untouched(st, before, outcome)
+
+
+class _FailingRuntime:
+    """The contract runtime, except that the second ``authorize`` raises."""
+
+    def __init__(self, runtime):
+        self._runtime = runtime
+        self.authorized = 0
+
+    def fingerprint(self):
+        return self._runtime.fingerprint()
+
+    def authenticate(self, tx, state):
+        return self._runtime.authenticate(tx, state)
+
+    def authorize(self, verified, request, now):
+        self.authorized += 1
+        if self.authorized == 2:
+            raise RuntimeError("authorize failed")
+        return self._runtime.authorize(verified, request, now)
+
+
+def test_exception_mid_block_rolls_back_and_propagates(seal_next, state, p, actors, runtime):
+    st, user, rid, waiting = _rich_state(seal_next, state, p, actors, runtime)
+    now = 5
+    for tx in (
+        build_link_delivery_tx(p, actors["storage"], b"second link", waiting),
+        build_access_request_tx(p, user, RequestInfo(3, 1, b"\x97" * 16), time=now),
+        build_access_request_tx(p, user, RequestInfo(4, 2, b"\x98" * 16), time=now),
+    ):
+        assert submit_to_pool(st, tx, now=now, provider=p) is None
+    block, _ = build_block(st, _leader_at(now, st.config, actors), now, runtime, provider=p)
+    before = _fields(st)
+    failing = _FailingRuntime(runtime)
+    with pytest.raises(RuntimeError, match="authorize failed"):
+        apply_block(st, block, failing, provider=p)
+    assert failing.authorized == 2
+    assert _fields(st) == before
+    assert apply_block(st, block, runtime, provider=p).state is st

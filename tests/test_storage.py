@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from chainacl.contracts import RequestResult, encrypt_request_result, encrypt_request_results
 from chainacl.crypto import Provider, sha256
-from chainacl.ledger import LINK_LIFETIME
+from chainacl.ledger import LINK_LIFETIME, link_deadline
 from chainacl.storage import (
     LINK_TOKEN_LEN,
     NONCE_LEN,
@@ -194,6 +194,21 @@ def test_redeem_at_exact_deadline_succeeds(service, p, actors):
     grant = _issue(service, p, actors)
     payload, _ = service.redeem(grant.link_token, grant.nonce, operation=1, now=grant.expires_at)
     assert payload == b"the quick brown payload"
+
+
+def test_links_expire_at_the_chains_deadline(service, p, actors):
+    """A link issued at 10 pays out at ``10 + LINK_LIFETIME`` and is refused
+    one second later: the boundary at which the chain refuses the
+    redemption record, so no payload is served without an audit entry."""
+    on_time = _issue(service, p, actors, rid=b"\x0a" * 16)
+    late = _issue(service, p, actors, rid=b"\x0b" * 16)
+    deadline = 10 + LINK_LIFETIME
+    assert link_deadline(10) == deadline
+    payload, _ = service.redeem(on_time.link_token, on_time.nonce, operation=1, now=deadline)
+    assert payload == b"the quick brown payload"
+    with pytest.raises(RedeemError) as info:
+        service.redeem(late.link_token, late.nonce, operation=1, now=deadline + 1)
+    assert info.value.reason == REDEEM_EXPIRED
 
 
 def test_unpermitted_operation_refused(service, p, actors):
