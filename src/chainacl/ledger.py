@@ -496,44 +496,41 @@ def _execute_access_request(
     height: int,
     now: int,
 ) -> VerifiedRequestTx | None:
-    """Runs the contract pipeline for one admitted request.
+    """Runs the contract pipeline for one admitted request and writes its
+    record once, in its final state; the contracts read no request record.
 
     Returns the derived verification transaction when authentication
     passed (the block must carry it immediately after the request).
     """
-    rid = tx.info.request_id
+    verified, failure = runtime.authenticate(tx, state)
+    result = None
+    if verified is None:
+        status, deny_reason, access_list, overridden = "denied", failure or "unspecified", None, None
+    else:
+        result = runtime.authorize(verified, tx, now)
+        outcome.results.append(result)
+        status = "granted" if result.granted else "denied"
+        deny_reason = "" if result.granted else "policy"
+        access_list, overridden = tuple(result.access_list), tuple(result.overridden)
     record = RequestRecord(
-        request_id=rid,
+        request_id=tx.info.request_id,
         user_pk=tx.user_pk,
         resource_id=tx.info.resource_id,
         operation=tx.info.operation,
         submitted_at=tx.time,
+        status=status,
+        deny_reason=deny_reason,
+        access_list=access_list,
+        overridden=overridden,
         seq=len(state.requests),
     )
-    journal.put(state.requests, rid, record)
+    journal.put(state.requests, record.request_id, record)
     _log(state, journal, record, "requested", height, tx.time)
-
-    verified, failure = runtime.authenticate(tx, state)
-    if verified is None:
-        reason = failure or "unspecified"
-        journal.put(state.requests, rid, replace(record, status="denied", deny_reason=reason))
-        _log(state, journal, record, "denied", height, now, "denied", reason)
+    if result is None:
+        _log(state, journal, record, "denied", height, now, "denied", deny_reason)
         return None
-
     _log(state, journal, record, "authenticated", height, now)
-
-    result = runtime.authorize(verified, tx, now)
-    outcome.results.append(result)
-    decision = "granted" if result.granted else "denied"
-    basis = "rule_override" if any(result.overridden) else "model"
-    journal.put(state.requests, rid, replace(
-        record,
-        status=decision,
-        deny_reason="" if result.granted else "policy",
-        access_list=tuple(result.access_list),
-        overridden=tuple(result.overridden),
-    ))
-    _log(state, journal, record, "decided", height, now, decision, basis)
+    _log(state, journal, record, "decided", height, now, status, "rule_override" if any(overridden) else "model")
     if not result.granted:
         _log(state, journal, record, "denied", height, now, "denied", "policy")
     return verified

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import socket
+import sys
 import threading
 import time
 
@@ -154,8 +155,10 @@ class LiveNode:
                 continue
             try:
                 send_oneway(addr, _encode_envelope(self.name, msg), timeout=2.0)
-            except TransportError:
-                pass  # peer down; retransmission covers it
+            except TransportError as exc:
+                # retransmission covers a peer that is down, but not a
+                # message that can never be sent, such as one over MAX_FRAME
+                print(f"{self.name}: {type(msg).__name__} to {dst} not sent: {exc}", file=sys.stderr)
 
     def _tick_loop(self) -> None:
         last = 0

@@ -9,6 +9,7 @@ compared byte for byte.
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import random
 from dataclasses import dataclass, field
@@ -86,11 +87,26 @@ class World:
         self.tick = 0
         self.rng = random.Random(net.seed)
         self.nodes: dict[str, SimNode] = {}
+        # node names in sorted order, all and validators only; users join
+        # lazily, on their first message, so the lists are kept as nodes
+        # are added rather than sorted on each tick and poll
+        self._names: list[str] = []
+        self._validator_names: list[str] = []
         self.trace: list[str] = []
         self._queue: list[tuple[int, int, str, str, Message]] = []
         self._seq = 0
 
     # -- construction -----------------------------------------------------------
+
+    def _add(self, node: SimNode) -> None:
+        old = self.nodes.get(node.name)
+        if old is None:
+            bisect.insort(self._names, node.name)
+        elif old.role == ROLE_VALIDATOR:
+            self._validator_names.remove(node.name)
+        if node.role == ROLE_VALIDATOR:
+            bisect.insort(self._validator_names, node.name)
+        self.nodes[node.name] = node
 
     def _derived_seed(self, name: str) -> int:
         return int.from_bytes(sha256(f"{self.net.seed}/{name}".encode())[:8], "big")
@@ -115,7 +131,7 @@ class World:
             storage_name=storage_name,
             retransmit_interval=self.net.retransmit_interval,
         )
-        self.nodes[name] = SimNode(name=name, role=ROLE_VALIDATOR, core=core)
+        self._add(SimNode(name=name, role=ROLE_VALIDATOR, core=core))
         return core
 
     def add_storage(
@@ -134,12 +150,12 @@ class World:
             validator_names=validator_names,
             retransmit_interval=self.net.retransmit_interval,
         )
-        self.nodes[name] = SimNode(name=name, role=ROLE_STORAGE, core=core)
+        self._add(SimNode(name=name, role=ROLE_STORAGE, core=core))
         return core
 
     def add_user(self, name: str, keypair: KeyPair | None = None) -> UserCore:
         core = UserCore(name=name, keypair=keypair)
-        self.nodes[name] = SimNode(name=name, role=ROLE_USER, core=core)
+        self._add(SimNode(name=name, role=ROLE_USER, core=core))
         return core
 
     # -- routing ------------------------------------------------------------------
@@ -179,7 +195,7 @@ class World:
         """Gossip a transaction from origin to every validator."""
         if origin not in self.nodes:
             self.add_user(origin)
-        for name in self.validator_names():
+        for name in self._validator_names:
             self._send(origin, name, TxGossip(tx=tx))
 
     def send_message(self, src: str, dst: str, msg: Message) -> None:
@@ -204,7 +220,7 @@ class World:
                 self._log(f"lost_to_crashed dst={dst} {type(msg).__name__}")
                 continue
             node.inbox.append((src, msg))
-        for name in sorted(self.nodes):
+        for name in self._names:
             node = self.nodes[name]
             if node.crashed:
                 node.inbox.clear()
@@ -214,7 +230,7 @@ class World:
                 for dst, out in node.core.handle(msg, src, self.tick):
                     self._send(name, dst, out)
                 self._drain_events(node)
-        for name in sorted(self.nodes):
+        for name in self._names:
             node = self.nodes[name]
             if node.crashed:
                 continue
@@ -229,7 +245,7 @@ class World:
     # -- inspection -------------------------------------------------------------------
 
     def validator_names(self) -> list[str]:
-        return [n for n in sorted(self.nodes) if self.nodes[n].role == ROLE_VALIDATOR]
+        return list(self._validator_names)
 
     def honest_validators(self) -> list[SimNode]:
         return [
@@ -239,13 +255,13 @@ class World:
         ]
 
     def storage_node(self) -> SimNode:
-        for name in sorted(self.nodes):
+        for name in self._names:
             if self.nodes[name].role == ROLE_STORAGE:
                 return self.nodes[name]
         raise ConfigurationError("world has no storage node")
 
     def poll(self, request_id: bytes, validator: str | None = None):
-        name = validator or self.validator_names()[0]
+        name = validator or self._validator_names[0]
         return poll_request(self.nodes[name].core.state, request_id, self.tick)
 
     def _message_material(self, dst: str, msg: Message) -> bool:

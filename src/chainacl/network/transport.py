@@ -26,14 +26,19 @@ def send_frame(sock: socket.socket, payload: bytes) -> None:
     sock.sendall(struct.pack(">I", len(payload)) + payload)
 
 
+_RECV_CHUNK = 1 << 16
+
+
 def _recv_exact(sock: socket.socket, n: int) -> bytes | None:
-    buf = b""
+    # the buffer grows with the bytes that arrive, not with the length a
+    # peer declares; appending to a bytearray is amortized linear
+    buf = bytearray()
     while len(buf) < n:
-        chunk = sock.recv(n - len(buf))
+        chunk = sock.recv(min(n - len(buf), _RECV_CHUNK))
         if not chunk:
             return None
         buf += chunk
-    return buf
+    return bytes(buf)
 
 
 def recv_frame(sock: socket.socket) -> bytes | None:

@@ -240,21 +240,21 @@ def _op_chain(backend: ServiceBackend, request: dict) -> dict:
     state = backend.ledger_state()
     if state is None:
         return _fail("not_supported", "this node keeps no ledger replica")
-    lo = int(request.get("from_height", 0))
-    hi = min(int(request.get("to_height", state.height)), state.height)
-    blocks = []
-    for block in state.chain:
-        if lo <= block.height <= hi:
-            blocks.append(
-                {
-                    "height": block.height,
-                    "time": block.time,
-                    "hash": block_hash(block).hex(),
-                    "prev": block.prev_hash.hex(),
-                    "validator": block.validator_pk.hex(),
-                    "txs": [format_transaction(tx) for tx in block.transactions],
-                }
-            )
+    # block i has height i; both ends are clamped to the chain, so a negative
+    # height cannot turn into a slice from the tip
+    start = max(0, int(request.get("from_height", 0)))
+    stop = max(0, min(int(request.get("to_height", state.height)), state.height) + 1)
+    blocks = [
+        {
+            "height": block.height,
+            "time": block.time,
+            "hash": block_hash(block).hex(),
+            "prev": block.prev_hash.hex(),
+            "validator": block.validator_pk.hex(),
+            "txs": [format_transaction(tx) for tx in block.transactions],
+        }
+        for block in state.chain[start:stop]
+    ]
     return {"ok": True, "blocks": blocks}
 
 

@@ -155,6 +155,7 @@ class RedemptionLogTx(Memoized):
 # a bit vector: a u32 count, then one u8 per bit; the layout of
 # ``counted(U8)``, which is that of ``BYTES`` over the bits, written in one piece
 _BITS = (lambda w, bits: w.bytes_(bytes(bits)), lambda r: tuple(r.bytes_()))
+_BIT_VALUES = frozenset((0, 1))
 
 
 @dataclass(frozen=True)
@@ -182,7 +183,7 @@ class VerifiedRequestTx(Memoized):
             raise TransactionError(f"user_bits must have width {USER_BITS_WIDTH}")
         if len(self.req_bits) != RESOURCE_BITS_WIDTH:
             raise TransactionError(f"req_bits must have width {RESOURCE_BITS_WIDTH}")
-        if any(b not in (0, 1) for b in self.user_bits + self.req_bits):
+        if not _BIT_VALUES.issuperset(self.user_bits + self.req_bits):
             raise TransactionError("bit vectors may contain only 0 and 1")
         if len(self.request_id) != REQUEST_ID_LEN:
             raise TransactionError(f"request_id must be {REQUEST_ID_LEN} bytes")

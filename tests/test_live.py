@@ -1,7 +1,11 @@
 """Socket transport: real nodes on localhost driving the full access flow."""
 
 import os
+import socket
+import struct
+import threading
 import time
+import tracemalloc
 
 import pytest
 
@@ -24,7 +28,8 @@ from chainacl.network.messages import (
     encode_message,
 )
 from chainacl.network.nodes import StorageCore, ValidatorCore
-from chainacl.network.transport import TransportError, call
+from chainacl.network import transport
+from chainacl.network.transport import TransportError, call, recv_frame, send_frame
 from chainacl.storage import open_link_ciphertext
 from chainacl.transactions import (
     RedemptionLogTx,
@@ -72,6 +77,74 @@ def test_unknown_message_kind_and_type_raise_message_error():
 def test_call_to_dead_port_raises():
     with pytest.raises(TransportError):
         call(("127.0.0.1", 1), b"\x01{}", timeout=0.5)
+
+
+def test_large_frame_round_trips_over_a_socket_pair():
+    payload = os.urandom(8 * 1024 * 1024)
+    a, b = socket.socketpair()
+    with a, b:
+        sender = threading.Thread(target=send_frame, args=(a, payload))
+        sender.start()
+        received = recv_frame(b)
+        sender.join(timeout=10.0)
+        assert not sender.is_alive()
+    assert received == payload
+
+
+def test_close_mid_frame_raises():
+    a, b = socket.socketpair()
+    with b:
+        with a:
+            a.sendall(struct.pack(">I", 100) + b"x" * 10)
+        with pytest.raises(TransportError):
+            recv_frame(b)
+
+
+def test_declared_length_is_not_allocated_up_front():
+    """A peer that declares a MAX_FRAME frame and sends a few bytes costs
+    memory for those bytes, not for the length it declared."""
+    a, b = socket.socketpair()
+    with b:
+        with a:
+            a.sendall(struct.pack(">I", transport.MAX_FRAME) + b"x" * 100)
+        tracemalloc.start()
+        try:
+            with pytest.raises(TransportError):
+                recv_frame(b)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 1024 * 1024
+
+
+def _storage_node(fixtures, peers):
+    core = StorageCore(
+        name="s0",
+        keypair=fixtures.storage,
+        config=fixtures.config,
+        provider=Provider(2001),
+        validator_names=VNAMES,
+    )
+    return LiveNode("s0", core, "127.0.0.1", 0, peers=peers)
+
+
+def test_unsent_message_is_reported_on_stderr(fixtures, capsys, monkeypatch):
+    """A send that fails names the peer, the message kind and the error,
+    whether the peer is down or the frame can never be sent."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        closed = probe.getsockname()
+    with socket.socket() as listener:
+        listener.bind(("127.0.0.1", 0))
+        listener.listen(1)
+        node = _storage_node(fixtures, {"v1": closed, "v2": listener.getsockname()})
+        node._dispatch([("v1", ChainQuery(after_height=3))])
+        monkeypatch.setattr(transport, "MAX_FRAME", 8)
+        node._dispatch([("v2", ChainQuery(after_height=3))])
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 2
+    assert "v1" in lines[0] and "ChainQuery" in lines[0] and "cannot reach" in lines[0]
+    assert "v2" in lines[1] and "ChainQuery" in lines[1] and "frame too large" in lines[1]
 
 
 def test_live_redemption_joins_the_retransmit_backlog(fixtures):

@@ -259,6 +259,26 @@ def test_chain_render_and_range(state):
     assert empty["blocks"] == []
 
 
+def test_chain_range_matches_a_height_filter(p, actors, state, seal_next):
+    """Negative, reversed and past-the-tip ranges give exactly the blocks a
+    filter on ``from_height <= height <= min(to_height, tip)`` keeps."""
+    for t in (20, 30, 40):
+        user = p.generate_keypair()
+        state = seal_next(state, p, actors, None, t, [build_register_user_tx(p, actors["admin"], user.public_key, time=t)])
+    assert state.height == 4
+    backend = Backend(state)
+    bounds = (-7, -3, -1, 0, 1, 2, 4, 5, 12)
+    for lo in bounds:
+        for hi in bounds:
+            out = dispatch_service(backend, {"op": "chain", "from_height": lo, "to_height": hi})
+            want = [b.height for b in state.chain if lo <= b.height <= min(hi, state.height)]
+            assert [b["height"] for b in out["blocks"]] == want, (lo, hi)
+        out = dispatch_service(backend, {"op": "chain", "from_height": lo})
+        assert [b["height"] for b in out["blocks"]] == [h for h in range(5) if h >= lo]
+        out = dispatch_service(backend, {"op": "chain", "to_height": lo})
+        assert [b["height"] for b in out["blocks"]] == [h for h in range(5) if h <= lo]
+
+
 def test_redeem_paths(state):
     ok_backend = Backend(state, role="storage", redeem_result=(True, "", b"payload"))
     out = dispatch_service(
