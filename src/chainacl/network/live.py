@@ -144,12 +144,6 @@ class LiveNode:
 
     def _dispatch(self, outgoing: list[tuple[str, Message]]) -> None:
         for dst, msg in outgoing:
-            if dst == self.name:
-                with self._lock:
-                    more = self.core.handle(msg, self.name, self.now())
-                    self.core.events.clear()
-                self._dispatch(more)
-                continue
             addr = self.peers.get(dst)
             if addr is None:
                 continue

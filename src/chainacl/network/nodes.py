@@ -39,6 +39,9 @@ from .messages import (
 
 Outgoing = list[tuple[str, Message]]
 
+# the storage node's transactions re-gossiped at each retransmit tick
+RETRANSMIT_BACKLOG = 32
+
 
 class ValidatorCore:
     """One validator: pool admission, slot sealing, chain sync."""
@@ -185,20 +188,18 @@ class StorageCore:
         provider: Provider,
         validator_names: tuple[str, ...],
         retransmit_interval: int = 5,
-        retransmit_backlog: int = 32,
     ):
         self.name = name
         self.validator_names = tuple(validator_names)
         self.retransmit_interval = max(1, retransmit_interval)
         self.service = StorageService(keypair=keypair, validators=config.validators, provider=provider)
         self._recent_txs: list = []
-        self._backlog = retransmit_backlog
         self.events: list[str] = []
 
     def _gossip_tx(self, tx) -> Outgoing:
         self._recent_txs.append(tx)
-        if len(self._recent_txs) > self._backlog:
-            self._recent_txs = self._recent_txs[-self._backlog :]
+        if len(self._recent_txs) > RETRANSMIT_BACKLOG:
+            self._recent_txs = self._recent_txs[-RETRANSMIT_BACKLOG:]
         gossip = TxGossip(tx=tx)
         return [(v, gossip) for v in self.validator_names]
 

@@ -10,7 +10,9 @@ hold by construction rather than by luck.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections import Counter
+from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -29,7 +31,7 @@ from .engine import (
     init_model,
     train,
 )
-from .network import NetworkConfig, RedeemCall, World
+from .network import NetworkConfig, RedeemCall, RedeemReply, World
 from .storage import open_link_ciphertext
 from .transactions import (
     N_OPERATIONS,
@@ -220,17 +222,10 @@ def build_world(
 
 @dataclass(frozen=True)
 class Action:
-    """One timed step; ``kind`` selects which params matter.
-
-    register: user (fixture index)
-    request:  label, resource_id, operation, and user or fresh ("key label")
-    redeem:   label, optionally operation / mode ("replay" reuses captured creds)
-    adversary: behavior plus passthrough params
-    """
+    """One timed step: ``do`` acts on the runner at the start of ``tick``."""
 
     tick: int
-    kind: str
-    params: dict = field(default_factory=dict)
+    do: Callable[[_Runner], None]
 
 
 def request_at(
@@ -241,92 +236,117 @@ def request_at(
     user: int | None = None,
     fresh: str | None = None,
 ) -> Action:
+    """Request as fixture user ``user``, or as a new unregistered key named ``fresh``."""
     return Action(
-        tick,
-        "request",
-        {
-            "label": label,
-            "resource_id": resource_id,
-            "operation": operation,
-            "user": user,
-            "fresh": fresh,
-        },
+        tick, lambda runner: runner.request(label, resource_id, operation, user, fresh)
     )
 
 
 def redeem_at(
     tick: int, label: str, operation: int | None = None, mode: str = "normal"
 ) -> Action:
-    return Action(tick, "redeem", {"label": label, "operation": operation, "mode": mode})
+    """Redeem ``label``'s link; mode "replay" reuses the captured creds and
+    "wrong_nonce" flips a bit of the nonce."""
+    return Action(tick, lambda runner: runner.redeem(label, operation, mode))
 
 
 def adversary_at(tick: int, behavior: str, **kw) -> Action:
-    return Action(tick, "adversary", {"behavior": behavior, **kw})
+    return Action(tick, lambda runner: runner.world.inject_adversary(behavior, **kw))
 
 
 @dataclass(frozen=True)
 class Expectation:
-    kind: str
+    """One check after the run: ``check`` gives (passed, detail)."""
+
     description: str
-    params: dict = field(default_factory=dict)
+    check: Callable[[_Runner], tuple[bool, str]]
 
 
 def expect_status(label: str, statuses: tuple[str, ...], reason: str = "") -> Expectation:
     want = "/".join(statuses) + (f" ({reason})" if reason else "")
-    return Expectation(
-        "status",
-        f"request {label!r} ends up {want}",
-        {"label": label, "statuses": statuses, "reason": reason},
-    )
+
+    def check(runner: _Runner) -> tuple[bool, str]:
+        req = runner.requests.get(label)
+        record = runner.world.poll(req.request_id) if req else None
+        if record is None:
+            return False, "request unknown to ledger"
+        ok = record.status in statuses and reason in record.deny_reason
+        return ok, f"status={record.status} reason={record.deny_reason or '-'}"
+
+    return Expectation(f"request {label!r} ends up {want}", check)
 
 
 def expect_log_kinds(label: str, kinds: tuple[str, ...]) -> Expectation:
-    return Expectation(
-        "log_kinds",
-        f"audit trail for {label!r} is {'>'.join(kinds)}",
-        {"label": label, "kinds": kinds},
-    )
+    def check(runner: _Runner) -> tuple[bool, str]:
+        got = tuple(e.kind for e in runner.entries(label))
+        return got == kinds, f"got {'>'.join(got) or '(none)'}"
+
+    return Expectation(f"audit trail for {label!r} is {'>'.join(kinds)}", check)
 
 
 def expect_basis(label: str, basis: str) -> Expectation:
-    return Expectation(
-        "basis",
-        f"decision for {label!r} attributed to {basis}",
-        {"label": label, "basis": basis},
-    )
+    def check(runner: _Runner) -> tuple[bool, str]:
+        decided = [e for e in runner.entries(label) if e.kind == "decided"]
+        if not decided:
+            return False, "no decided entry"
+        return decided[-1].reason == basis, f"basis={decided[-1].reason}"
+
+    return Expectation(f"decision for {label!r} attributed to {basis}", check)
 
 
 def expect_redeem(label: str, ok: bool, reason: str = "", index: int = -1) -> Expectation:
     what = "succeeds" if ok else f"rejected ({reason})"
-    return Expectation(
-        "redeem",
-        f"redemption #{index} for {label!r} {what}",
-        {"label": label, "ok": ok, "reason": reason, "index": index},
-    )
+
+    def check(runner: _Runner) -> tuple[bool, str]:
+        replies = runner.replies(label)
+        if not replies:
+            return False, "no redeem reply received"
+        try:
+            reply = replies[index]
+        except IndexError:
+            return False, f"only {len(replies)} replies"
+        passed = reply.ok == ok and (not reason or reason == reply.reason)
+        return passed, f"ok={reply.ok} reason={reply.reason or '-'}"
+
+    return Expectation(f"redemption #{index} for {label!r} {what}", check)
 
 
 def expect_payload(label: str, resource_id: int) -> Expectation:
-    return Expectation(
-        "payload",
-        f"redeeming {label!r} returns resource {resource_id} bytes",
-        {"label": label, "resource_id": resource_id},
-    )
+    def check(runner: _Runner) -> tuple[bool, str]:
+        got = next((r.payload for r in runner.replies(label) if r.ok), None)
+        if got is None:
+            return False, "no successful redemption"
+        return got == runner.fixtures.payload(resource_id), f"{len(got)} bytes"
+
+    return Expectation(f"redeeming {label!r} returns resource {resource_id} bytes", check)
 
 
 def expect_agreement() -> Expectation:
-    return Expectation("agreement", "honest validators converge on one chain")
+    def check(runner: _Runner) -> tuple[bool, str]:
+        report = runner.world.report()
+        return (
+            report.agreement,
+            f"height={report.height} tips={len(set(report.tips.values()))}",
+        )
+
+    return Expectation("honest validators converge on one chain", check)
 
 
 def expect_trace(substring: str, min_count: int = 1) -> Expectation:
-    return Expectation(
-        "trace",
-        f"trace contains {substring!r} x{min_count}",
-        {"substring": substring, "min_count": min_count},
-    )
+    def check(runner: _Runner) -> tuple[bool, str]:
+        count = sum(substring in line for line in runner.world.trace)
+        return count >= min_count, f"count={count}"
+
+    return Expectation(f"trace contains {substring!r} x{min_count}", check)
 
 
 def expect_single_redemption() -> Expectation:
-    return Expectation("single_redemption", "no request is redeemed twice on chain")
+    def check(runner: _Runner) -> tuple[bool, str]:
+        redeemed = Counter(e.request_id for e in runner.access_log() if e.kind == "redeemed")
+        worst = max(redeemed.values(), default=0)
+        return worst <= 1, f"max per request={worst}"
+
+    return Expectation("no request is redeemed twice on chain", check)
 
 
 @dataclass(frozen=True)
@@ -379,19 +399,26 @@ class ScenarioReport:
         return "\n".join(out) + "\n"
 
 
+@dataclass
+class _Request:
+    """What the script knows of one labelled request."""
+
+    request_id: bytes
+    keypair: KeyPair
+    node: str
+    operation: int
+    creds: tuple[bytes, bytes] | None = None  # (link token, nonce) of its first redemption
+
+
 class _Runner:
     def __init__(self, script: ScenarioScript, fixtures: Fixtures, world: World):
         self.script = script
         self.fixtures = fixtures
         self.world = world
-        self.request_ids: dict[str, bytes] = {}
-        self.request_keys: dict[str, KeyPair] = {}
-        self.request_nodes: dict[str, str] = {}
-        self.request_ops: dict[str, int] = {}
-        self.creds: dict[str, tuple[bytes, bytes]] = {}
+        self.requests: dict[str, _Request] = {}
         self.problems: list[str] = []
 
-    # -- action handlers ---------------------------------------------------------
+    # -- steps -------------------------------------------------------------------
 
     def _register_all(self) -> None:
         for i in range(self.script.register_users):
@@ -403,58 +430,50 @@ class _Runner:
             )
             self.world.submit_transaction("admin", tx)
 
-    def _do_request(self, p: dict) -> None:
-        label = p["label"]
-        if p.get("fresh"):
+    def request(
+        self, label: str, resource_id: int, operation: int, user: int | None, fresh: str | None
+    ) -> None:
+        if fresh:
             kp = self.fixtures.provider.generate_keypair(
-                seed=sha256(f"fresh/{self.script.name}/{p['fresh']}".encode())
+                seed=sha256(f"fresh/{self.script.name}/{fresh}".encode())
             )
-            node = p["fresh"]
+            node = fresh
         else:
-            kp = self.fixtures.users[p["user"]]
-            node = f"u{p['user']:03d}"
+            kp = self.fixtures.users[user]
+            node = f"u{user:03d}"
         rid = sha256(f"req/{self.script.name}/{label}".encode())[:16]
-        info = RequestInfo(
-            resource_id=p["resource_id"], operation=p["operation"], request_id=rid
-        )
+        info = RequestInfo(resource_id=resource_id, operation=operation, request_id=rid)
         tx = build_access_request_tx(
             self.fixtures.provider, kp, info, time=self.world.tick
         )
-        self.request_ids[label] = rid
-        self.request_keys[label] = kp
-        self.request_nodes[label] = node
-        self.request_ops[label] = p["operation"]
+        self.requests[label] = _Request(rid, kp, node, operation)
         self.world.submit_transaction(node, tx)
 
-    def _do_redeem(self, p: dict) -> None:
-        label = p["label"]
-        rid = self.request_ids.get(label)
-        if rid is None:
+    def redeem(self, label: str, operation: int | None, mode: str) -> None:
+        req = self.requests.get(label)
+        if req is None:
             self.problems.append(f"redeem before request for {label!r}")
             return
-        mode = p.get("mode", "normal")
-        if mode == "replay" and label in self.creds:
-            token, nonce = self.creds[label]
+        if mode == "replay" and req.creds is not None:
+            token, nonce = req.creds
         else:
-            record = self.world.poll(rid)
+            record = self.world.poll(req.request_id)
             if record is None or not record.link_ciphertext:
                 self.problems.append(f"no link to redeem for {label!r}")
                 return
             grant = open_link_ciphertext(
-                self.fixtures.provider, self.request_keys[label], record.link_ciphertext
+                self.fixtures.provider, req.keypair, record.link_ciphertext
             )
             token, nonce = grant.link_token, grant.nonce
-            self.creds[label] = (token, nonce)
+            req.creds = (token, nonce)
         if mode == "wrong_nonce":
             nonce = bytes([nonce[0] ^ 0x01]) + nonce[1:]
-        op = p.get("operation")
-        if op is None:
-            op = self.request_ops[label]
-        node = self.request_nodes[label]
+        if operation is None:
+            operation = req.operation
         self.world.send_message(
-            node,
+            req.node,
             STORAGE_NAME,
-            RedeemCall(link_token=token, nonce=nonce, operation=op, reply_to=node),
+            RedeemCall(link_token=token, nonce=nonce, operation=operation, reply_to=req.node),
         )
 
     def run(self) -> None:
@@ -465,103 +484,22 @@ class _Runner:
         last = max(by_tick, default=0) + self.script.settle_ticks
         while self.world.tick <= last:
             for action in by_tick.get(self.world.tick, ()):
-                if action.kind == "request":
-                    self._do_request(action.params)
-                elif action.kind == "redeem":
-                    self._do_redeem(action.params)
-                elif action.kind == "adversary":
-                    kw = dict(action.params)
-                    self.world.inject_adversary(kw.pop("behavior"), **kw)
-                elif action.kind == "register":
-                    tx = build_register_user_tx(
-                        self.fixtures.provider,
-                        self.fixtures.admin,
-                        self.fixtures.users[action.params["user"]].public_key,
-                        time=self.world.tick,
-                    )
-                    self.world.submit_transaction("admin", tx)
-                else:
-                    self.problems.append(f"unknown action kind {action.kind!r}")
+                action.do(self)
             self.world.step()
 
-    # -- expectation checks --------------------------------------------------------
+    # -- what checks read ----------------------------------------------------------
 
-    def _entries_for(self, label: str):
-        rid = self.request_ids.get(label, b"")
-        state = self.world.nodes[VALIDATOR_NAMES[0]].core.state
-        return [e for e in state.access_log if e.request_id == rid]
+    def access_log(self):
+        return self.world.nodes[VALIDATOR_NAMES[0]].core.state.access_log
 
-    def check(self, exp: Expectation) -> AssertionResult:
-        p = exp.params
-        if exp.kind == "status":
-            record = self.world.poll(self.request_ids.get(p["label"], b"\x00" * 16))
-            if record is None:
-                return AssertionResult(exp.description, False, "request unknown to ledger")
-            ok = record.status in p["statuses"]
-            if ok and p["reason"]:
-                ok = p["reason"] in record.deny_reason
-            detail = f"status={record.status} reason={record.deny_reason or '-'}"
-            return AssertionResult(exp.description, ok, detail)
-        if exp.kind == "log_kinds":
-            got = tuple(e.kind for e in self._entries_for(p["label"]))
-            return AssertionResult(
-                exp.description, got == tuple(p["kinds"]), f"got {'>'.join(got) or '(none)'}"
-            )
-        if exp.kind == "basis":
-            decided = [e for e in self._entries_for(p["label"]) if e.kind == "decided"]
-            if not decided:
-                return AssertionResult(exp.description, False, "no decided entry")
-            return AssertionResult(
-                exp.description,
-                decided[-1].reason == p["basis"],
-                f"basis={decided[-1].reason}",
-            )
-        if exp.kind == "redeem":
-            node = self.request_nodes.get(p["label"])
-            replies = self.world.nodes[node].core.replies if node in self.world.nodes else []
-            if not replies:
-                return AssertionResult(exp.description, False, "no redeem reply received")
-            try:
-                reply = replies[p["index"]]
-            except IndexError:
-                return AssertionResult(
-                    exp.description, False, f"only {len(replies)} replies"
-                )
-            ok = reply.ok == p["ok"] and (
-                not p["reason"] or p["reason"] == reply.reason
-            )
-            return AssertionResult(
-                exp.description, ok, f"ok={reply.ok} reason={reply.reason or '-'}"
-            )
-        if exp.kind == "payload":
-            node = self.request_nodes.get(p["label"])
-            replies = self.world.nodes[node].core.replies if node in self.world.nodes else []
-            want = self.fixtures.payload(p["resource_id"])
-            got = next((r.payload for r in replies if r.ok), None)
-            if got is None:
-                return AssertionResult(exp.description, False, "no successful redemption")
-            return AssertionResult(
-                exp.description, got == want, f"{len(got)} bytes"
-            )
-        if exp.kind == "agreement":
-            report = self.world.report()
-            return AssertionResult(
-                exp.description,
-                report.agreement,
-                f"height={report.height} tips={len(set(report.tips.values()))}",
-            )
-        if exp.kind == "trace":
-            count = sum(p["substring"] in line for line in self.world.trace)
-            return AssertionResult(exp.description, count >= p["min_count"], f"count={count}")
-        if exp.kind == "single_redemption":
-            state = self.world.nodes[VALIDATOR_NAMES[0]].core.state
-            per_request: dict[bytes, int] = {}
-            for e in state.access_log:
-                if e.kind == "redeemed":
-                    per_request[e.request_id] = per_request.get(e.request_id, 0) + 1
-            worst = max(per_request.values(), default=0)
-            return AssertionResult(exp.description, worst <= 1, f"max per request={worst}")
-        return AssertionResult(exp.description, False, f"unknown expectation {exp.kind!r}")
+    def entries(self, label: str):
+        req = self.requests.get(label)
+        return [e for e in self.access_log() if req and e.request_id == req.request_id]
+
+    def replies(self, label: str) -> list[RedeemReply]:
+        req = self.requests.get(label)
+        node = self.world.nodes.get(req.node) if req else None
+        return node.core.replies if node else []
 
 
 def run_scenario(script: ScenarioScript, fixtures: Fixtures | None = None) -> ScenarioReport:
@@ -569,7 +507,7 @@ def run_scenario(script: ScenarioScript, fixtures: Fixtures | None = None) -> Sc
     world = build_world(fixtures, script.net)
     runner = _Runner(script, fixtures, world)
     runner.run()
-    assertions = [runner.check(e) for e in script.expectations]
+    assertions = [AssertionResult(e.description, *e.check(runner)) for e in script.expectations]
     for problem in runner.problems:
         assertions.append(AssertionResult(f"script step: {problem}", False))
     return ScenarioReport(

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from pathlib import Path
 
 from .codec import BYTES, U64, decode_record, encode_record
 from .contracts import EnvelopeError, RequestResult, decrypt_request_results
@@ -131,16 +130,13 @@ class StorageService:
         validators: tuple[bytes, ...],
         provider: Provider | None = None,
         seed: int | None = None,
-        data_dir: str | Path | None = None,
     ):
         self.keypair = keypair
         self.validators = tuple(validators)
         self.provider = provider or Provider(seed)
-        self.data_dir = Path(data_dir) if data_dir is not None else None
         self.resources: dict[int, Resource] = {}
         self.links: dict[bytes, AccessLink] = {}
         self._expiry: list[tuple[int, bytes]] = []  # heap of (expires_at, link_token)
-        self.links_by_nonce: dict[bytes, bytes] = {}
         self.served_requests: set[bytes] = set()
         self.denials: list[DenialRecord] = []
 
@@ -152,9 +148,6 @@ class StorageService:
         digest = sha256(payload)
         meta = ResourceMeta(resource_id=resource_id, name=name, digest=digest, size=len(payload))
         self.resources[resource_id] = Resource(resource_id=resource_id, payload=payload, meta=meta)
-        if self.data_dir is not None:
-            self.data_dir.mkdir(parents=True, exist_ok=True)
-            (self.data_dir / digest.hex()).write_bytes(payload)
         return meta
 
     def get_metadata(self, resource_id: int) -> ResourceMeta:
@@ -211,7 +204,6 @@ class StorageService:
         )
         self.links[link.link_token] = link
         heapq.heappush(self._expiry, (link.expires_at, link.link_token))
-        self.links_by_nonce[link.nonce] = link.link_token
         grant = LinkGrant(link_token=link.link_token, nonce=link.nonce, issued_at=now)
         ciphertext = self.provider.encrypt(result.user_pk, grant.encode())
         return build_link_delivery_tx(

@@ -4,6 +4,14 @@ import pytest
 
 from chainacl.scenarios import (
     SCENARIO_NAMES,
+    ScenarioScript,
+    expect_basis,
+    expect_payload,
+    expect_redeem,
+    expect_status,
+    expect_trace,
+    redeem_at,
+    request_at,
     run_matrix,
     run_scenario,
     run_suite,
@@ -50,6 +58,42 @@ def test_scenario_report_shape(fixtures):
     assert all(l.startswith(("PASS", "FAIL")) for l in lines[1:-1])
     assert lines[-1].startswith("result=")
     assert report.text(with_trace=True).count("--- trace ---") == 1
+
+
+def test_failing_expectations_report_their_detail(fixtures):
+    """Each check that cannot hold reports FAIL with the reason it failed,
+    and a script step that cannot run is reported after the checks."""
+    u, r, op = fixtures.pairs["model_allows"]
+    script = ScenarioScript(
+        name="failing",
+        description="checks that cannot hold",
+        actions=(
+            redeem_at(2, "early"),
+            request_at(4, "granted", resource_id=r, operation=op, user=u),
+            request_at(4, "refused", resource_id=r, operation=op, fresh="mallory"),
+            redeem_at(14, "granted"),
+        ),
+        expectations=(
+            expect_status("ghost", ("granted",)),
+            expect_basis("ghost", "model"),
+            expect_redeem("refused", ok=True),
+            expect_redeem("granted", ok=True, index=1),
+            expect_payload("refused", r),
+            expect_trace("no-such-event"),
+        ),
+    )
+    report = run_scenario(script, fixtures)
+    assert not report.passed
+    assert report.lines()[1:-1] == [
+        "FAIL request 'ghost' ends up granted [request unknown to ledger]",
+        "FAIL decision for 'ghost' attributed to model [no decided entry]",
+        "FAIL redemption #-1 for 'refused' succeeds [no redeem reply received]",
+        "FAIL redemption #1 for 'granted' succeeds [only 1 replies]",
+        f"FAIL redeeming 'refused' returns resource {r} bytes [no successful redemption]",
+        "FAIL trace contains 'no-such-event' x1 [count=0]",
+        "FAIL script step: redeem before request for 'early'",
+    ]
+    assert report.lines()[-1].startswith("result=FAIL ")
 
 
 def test_unknown_scenario_name_rejected(fixtures):

@@ -83,17 +83,6 @@ def test_put_resource_and_metadata(service):
         service.get_metadata(6)
 
 
-def test_put_resource_persists_to_disk(p, actors, tmp_path):
-    svc = StorageService(
-        keypair=actors["storage"],
-        validators=(actors["validators"][0].public_key,),
-        provider=p,
-        data_dir=tmp_path / "blobs",
-    )
-    meta = svc.put_resource(1, b"bytes on disk")
-    assert (tmp_path / "blobs" / meta.digest.hex()).read_bytes() == b"bytes on disk"
-
-
 def test_granted_result_mints_encrypted_link(service, p, actors):
     grant = _issue(service, p, actors)
     assert len(grant.link_token) == LINK_TOKEN_LEN
