@@ -16,7 +16,7 @@ from pathlib import Path
 from . import scenarios
 from .blocks import GenesisConfig
 from .contracts import ContractRuntime
-from .crypto import KeyPair, Provider, load_keypair, save_keypair
+from .crypto import CryptoError, KeyPair, Provider, load_keypair, save_keypair
 from .engine import (
     SyntheticPolicy,
     TrainConfig,
@@ -31,7 +31,7 @@ from .engine import (
 )
 from .network.live import LiveNode, service_call
 from .network.nodes import StorageCore, ValidatorCore
-from .service import ENV_DATA_DIR, ServiceConfig, ServiceConfigError
+from .service import ENV_DATA_DIR, ServiceConfig
 from .storage import open_link_ciphertext
 from .transactions import (
     OPERATION_NAMES,
@@ -53,6 +53,10 @@ DEFAULT_NODE = "127.0.0.1:9101"
 
 class CliError(Exception):
     """Usage or configuration problem; maps to exit code 2."""
+
+
+class Refused(Exception):
+    """The node answered and refused the request; maps to exit code 1."""
 
 
 def _data_dir(arg: str | None) -> Path:
@@ -86,45 +90,22 @@ def _read_keypair(path: str) -> KeyPair:
 
 
 def _call(addr_text: str, request: dict) -> dict:
+    """The node's reply to ``request``; a refusal raises ``Refused``."""
     try:
-        return service_call(_parse_addr(addr_text), request)
+        reply = service_call(_parse_addr(addr_text), request)
     except OSError as exc:
         raise CliError(f"cannot reach node at {addr_text}: {exc}") from None
+    if not reply.get("ok"):
+        raise Refused(f"error={reply.get('error', '?')} {reply.get('reason', '')}".strip())
+    return reply
 
 
-def _fail_line(reply: dict) -> str:
-    return f"error={reply.get('error', '?')} {reply.get('reason', '')}".strip()
+def _request(op: str, **fields) -> dict:
+    """A service request carrying the optional fields that were given."""
+    return {"op": op, **{key: value for key, value in fields.items() if value is not None}}
 
 
 # -- init ------------------------------------------------------------------------
-
-
-def _write_node_config(
-    path: Path,
-    name: str,
-    role: str,
-    host: str,
-    port: int,
-    data_dir: Path,
-    all_nodes: list[tuple[str, str, int]],
-) -> None:
-    lines = [
-        f"name={name}",
-        f"role={role}",
-        f"host={host}",
-        f"port={port}",
-        f"key_file={data_dir / 'keys' / (name + '.sk')}",
-        f"genesis_file={data_dir / 'genesis.bin'}",
-        f"data_dir={data_dir}",
-        "storage_node=s0",
-    ]
-    if role == "validator":
-        lines.append(f"model_file={data_dir / 'model.bin'}")
-        lines.append(f"rules_file={data_dir / 'rules.txt'}")
-    for peer_name, peer_host, peer_port in all_nodes:
-        if peer_name != name:
-            lines.append(f"peer={peer_name}:{peer_host}:{peer_port}")
-    path.write_text("\n".join(lines) + "\n")
 
 
 def cmd_init(args) -> int:
@@ -157,10 +138,21 @@ def cmd_init(args) -> int:
     all_nodes = [(f"v{i}", args.host, args.base_port + 1 + i) for i in range(3)]
     all_nodes.append(("s0", args.host, args.base_port + 10))
     for name, host, port in all_nodes:
-        role = "storage" if name == "s0" else "validator"
-        _write_node_config(
-            directory / f"{name}.cfg", name, role, host, port, directory, all_nodes
+        validator = name != "s0"
+        config = ServiceConfig(
+            name=name,
+            role="validator" if validator else "storage",
+            host=host,
+            port=port,
+            key_file=str(keys / f"{name}.sk"),
+            genesis_file=str(directory / "genesis.bin"),
+            data_dir=str(directory),
+            storage_node="s0",
+            model_file=str(directory / "model.bin") if validator else "",
+            rules_file=str(directory / "rules.txt") if validator else "",
+            peers=tuple(node for node in all_nodes if node[0] != name),
         )
+        (directory / f"{name}.cfg").write_text(config.format())
 
     print(f"wrote {directory}/: keys/ ({3 + 2 + args.users} keypairs), genesis.bin,")
     print("  model.bin, rules.txt, resources/, and node configs v0-v2.cfg, s0.cfg")
@@ -201,7 +193,7 @@ def _build_core(cfg: ServiceConfig):
     if resources and resources.is_dir():
         for path in sorted(resources.glob("*.bin")):
             if path.stem.isdigit():
-                core.service.put_resource(int(path.stem), path.read_bytes(), name=path.stem)
+                core.service.put_resource(int(path.stem), path.read_bytes())
     return core
 
 
@@ -209,7 +201,7 @@ def cmd_node_start(args) -> int:
     try:
         cfg = ServiceConfig.load(args.config)
         cfg.require_files()
-    except (ServiceConfigError, OSError, ValueError) as exc:
+    except (OSError, ValueError) as exc:
         raise CliError(str(exc)) from None
     if args.port:
         from dataclasses import replace
@@ -250,9 +242,6 @@ def cmd_register_user(args) -> int:
         raise CliError("pass --user-pk HEX or --user-key PATH")
     tx = build_register_user_tx(Provider(), admin, user_pk, time=int(time.time()))
     reply = _call(args.node, {"op": "submit_tx", "tx": encode_transaction(tx).hex()})
-    if not reply.get("ok"):
-        print(_fail_line(reply))
-        return EXIT_FAILED
     print(f"submitted tx_id={reply['tx_id']}")
     return EXIT_OK
 
@@ -265,19 +254,13 @@ def cmd_request_access(args) -> int:
         resource_id=args.resource, operation=operation, request_id=request_id
     )
     tx = build_access_request_tx(Provider(), user, info, time=int(time.time()))
-    reply = _call(args.node, {"op": "submit_tx", "tx": encode_transaction(tx).hex()})
-    if not reply.get("ok"):
-        print(_fail_line(reply))
-        return EXIT_FAILED
+    _call(args.node, {"op": "submit_tx", "tx": encode_transaction(tx).hex()})
     print(f"request_id={request_id.hex()}")
     return EXIT_OK
 
 
 def cmd_poll(args) -> int:
     reply = _call(args.node, {"op": "poll", "request_id": args.request_id})
-    if not reply.get("ok"):
-        print(_fail_line(reply))
-        return EXIT_FAILED
     status = reply["status"]
     line = f"status={status}"
     if reply.get("reason"):
@@ -311,9 +294,6 @@ def cmd_redeem(args) -> int:
             "operation": operation,
         },
     )
-    if not reply.get("ok"):
-        print(_fail_line(reply))
-        return EXIT_FAILED
     payload = bytes.fromhex(reply["payload"])
     if args.out:
         Path(args.out).write_bytes(payload)
@@ -324,23 +304,16 @@ def cmd_redeem(args) -> int:
 
 
 def cmd_logs(args) -> int:
-    request: dict = {"op": "logs"}
-    if args.user_pk:
-        request["user_pk"] = args.user_pk
-    if args.resource is not None:
-        request["resource_id"] = args.resource
-    if args.kind:
-        request["kind"] = args.kind
-    if args.decision:
-        request["decision"] = args.decision
-    if args.from_height is not None:
-        request["from_height"] = args.from_height
-    if args.to_height is not None:
-        request["to_height"] = args.to_height
+    request = _request(
+        "logs",
+        user_pk=args.user_pk,
+        resource_id=args.resource,
+        kind=args.kind,
+        decision=args.decision,
+        from_height=args.from_height,
+        to_height=args.to_height,
+    )
     reply = _call(args.node, request)
-    if not reply.get("ok"):
-        print(_fail_line(reply))
-        return EXIT_FAILED
     for e in reply["entries"]:
         decision = e["decision"] or "-"
         reason = e["reason"] or "-"
@@ -354,15 +327,7 @@ def cmd_logs(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    request: dict = {"op": "chain"}
-    if args.from_height is not None:
-        request["from_height"] = args.from_height
-    if args.to_height is not None:
-        request["to_height"] = args.to_height
-    reply = _call(args.node, request)
-    if not reply.get("ok"):
-        print(_fail_line(reply))
-        return EXIT_FAILED
+    reply = _call(args.node, _request("chain", from_height=args.from_height, to_height=args.to_height))
     for b in reply["blocks"]:
         print(
             f"h={b['height']:<4} time={b['time']:<6} hash={b['hash'][:16]} "
@@ -544,10 +509,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ServiceConfigError, ValueError) as exc:
+    except Refused as exc:
+        print(exc)
+        return EXIT_FAILED
+    except (CliError, CryptoError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

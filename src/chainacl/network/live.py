@@ -1,25 +1,27 @@
 """Live nodes: the same cores as the simulator, served over local sockets.
 
-Each node owns one listener. Incoming frames carry either a peer envelope
-(binary message plus sender name) or a service call (JSON); the node
-handles both under a single lock, so core state stays single-writer. A
-ticker thread drives sealing off the wall clock, one slot per second by
-default.
+Each node serves one TCP port, a thread per connection. Incoming frames
+carry either a peer envelope (binary message plus sender name) or a
+service call (JSON); the node handles both under a single lock, so core
+state stays single-writer. The messages that handling produces are sent
+by the connection's own thread, once its reply is written and the
+connection closed. A ticker thread drives sealing off the wall clock, one
+slot per second by default.
 """
 
 from __future__ import annotations
 
 import json
 import socket
+import socketserver
 import sys
 import threading
 import time
 
 from ..codec import Reader, Writer
-from ..ledger import submit_to_pool
 from ..transactions import Transaction
-from .messages import Message, TxGossip, decode_message, encode_message
-from .nodes import StorageCore, ValidatorCore
+from .messages import Message, decode_message, encode_message
+from .nodes import Outgoing, StorageCore, ValidatorCore
 from .transport import (
     CHANNEL_NODE,
     CHANNEL_SERVICE,
@@ -38,6 +40,13 @@ def _encode_envelope(src: str, msg: Message) -> bytes:
     w.string(src)
     w.bytes_(encode_message(msg))
     return w.getvalue()
+
+
+class _Server(socketserver.ThreadingTCPServer):
+    allow_reuse_address = True  # SO_REUSEADDR
+    request_queue_size = 32  # listen backlog
+    daemon_threads = True
+    block_on_close = False  # handler threads are not joined on close
 
 
 class LiveNode:
@@ -61,65 +70,56 @@ class LiveNode:
         self.role = "validator" if isinstance(core, ValidatorCore) else "storage"
         self._lock = threading.Lock()
         self._stop = threading.Event()
-        self._listener: socket.socket | None = None
+        self._server: _Server | None = None
         self._threads: list[threading.Thread] = []
+        # what the service call being served under the lock has to send
+        self._outbox: Outgoing = []
 
     # -- lifecycle ----------------------------------------------------------
 
     def start(self) -> None:
-        listener = socket.socket(socket.AF_INET, socket.SOCK_STREAM)
-        listener.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
-        listener.bind((self.host, self.port))
-        listener.listen(32)
-        listener.settimeout(0.2)
-        self._listener = listener
-        accept = threading.Thread(target=self._accept_loop, name=f"{self.name}-accept", daemon=True)
+        server = _Server((self.host, self.port), lambda conn, _addr, _server: self._serve_conn(conn))
+        self._server = server
+        serve = threading.Thread(
+            target=server.serve_forever, args=(0.2,), name=f"{self.name}-serve", daemon=True
+        )
         ticker = threading.Thread(target=self._tick_loop, name=f"{self.name}-tick", daemon=True)
-        self._threads = [accept, ticker]
-        accept.start()
+        self._threads = [serve, ticker]
+        serve.start()
         ticker.start()
 
     def stop(self) -> None:
         self._stop.set()
+        if self._server is not None:
+            self._server.shutdown()
+            self._server.server_close()
         for t in self._threads:
             t.join(timeout=2.0)
-        if self._listener is not None:
-            self._listener.close()
 
     # -- network ------------------------------------------------------------
 
-    def _accept_loop(self) -> None:
-        assert self._listener is not None
-        while not self._stop.is_set():
-            try:
-                conn, _ = self._listener.accept()
-            except socket.timeout:
-                continue
-            except OSError:
-                return
-            t = threading.Thread(target=self._serve_conn, args=(conn,), daemon=True)
-            t.start()
-
     def _serve_conn(self, conn: socket.socket) -> None:
+        outgoing: Outgoing = []
         with conn:
             conn.settimeout(5.0)
             try:
                 frame = recv_frame(conn)
             except (TransportError, OSError):
                 return
-            if frame is None or not frame:
+            if not frame:
                 return
             channel = frame[0]
             if channel == CHANNEL_NODE:
-                self._handle_envelope(frame)
+                outgoing = self._handle_envelope(frame)
             elif channel == CHANNEL_SERVICE:
-                reply = self._handle_service(frame[1:])
+                reply, outgoing = self._handle_service(frame[1:])
                 try:
                     send_frame(conn, reply)
                 except OSError:
                     pass
+        self._dispatch(outgoing)
 
-    def _handle_envelope(self, frame: bytes) -> None:
+    def _handle_envelope(self, frame: bytes) -> Outgoing:
         try:
             r = Reader(frame)
             r.u8()
@@ -127,22 +127,23 @@ class LiveNode:
             msg = decode_message(r.bytes_())
             r.expect_end()
         except ValueError:
-            return
+            return []
         with self._lock:
             outgoing = self.core.handle(msg, src, self.now())
             self.core.events.clear()
-        self._dispatch(outgoing)
+        return outgoing
 
-    def _handle_service(self, payload: bytes) -> bytes:
+    def _handle_service(self, payload: bytes) -> tuple[bytes, Outgoing]:
         try:
             request = json.loads(payload.decode("utf-8"))
         except (UnicodeDecodeError, json.JSONDecodeError):
             request = {"op": None}
         with self._lock:
             response = dispatch_service(self, request)
-        return json.dumps(response, sort_keys=True).encode("utf-8")
+            outgoing, self._outbox = self._outbox, []
+        return json.dumps(response, sort_keys=True).encode("utf-8"), outgoing
 
-    def _dispatch(self, outgoing: list[tuple[str, Message]]) -> None:
+    def _dispatch(self, outgoing: Outgoing) -> None:
         for dst, msg in outgoing:
             addr = self.peers.get(dst)
             if addr is None:
@@ -166,26 +167,16 @@ class LiveNode:
                 self._dispatch(outgoing)
             time.sleep(self.tick_period)
 
-    # -- ServiceBackend -------------------------------------------------------
+    # -- ServiceBackend: called by dispatch_service under the node lock ------
 
     def now(self) -> int:
         return int(time.time())
 
     def submit_tx(self, tx: Transaction) -> str | None:
-        # caller already holds no lock; dispatch_service locked us
-        if not isinstance(self.core, ValidatorCore):
-            return "not_a_validator"
-        reason = submit_to_pool(self.core.state, tx, self.now(), self.core.provider)
-        if reason is not None:
-            return reason
-        msg = TxGossip(tx=tx)
-        self._send_later([(p, msg) for p in self.peers if p != self.name])
-        return None
-
-    def _send_later(self, outgoing: list[tuple[str, Message]]) -> None:
-        """Dispatch from a thread: the service caller holds the node lock,
-        and its reply must not wait on peer availability."""
-        threading.Thread(target=self._dispatch, args=(outgoing,), daemon=True).start()
+        reason, gossip = self.core.admit(tx, self.now())
+        self.core.events.clear()
+        self._outbox += gossip
+        return reason
 
     def ledger_state(self):
         if isinstance(self.core, ValidatorCore):
@@ -193,11 +184,9 @@ class LiveNode:
         return None
 
     def redeem(self, link_token: bytes, nonce: bytes, operation: int) -> tuple[bool, str, bytes]:
-        if not isinstance(self.core, StorageCore):
-            return False, "not_storage", b""
         reply, gossip = self.core.redeem(link_token, nonce, operation, self.now())
         self.core.events.clear()
-        self._send_later(gossip)
+        self._outbox += gossip
         return reply.ok, reply.reason, reply.payload
 
 

@@ -80,13 +80,20 @@ class ValidatorCore:
 
     # -- inbound ------------------------------------------------------------
 
+    def admit(self, tx, now: int) -> tuple[str | None, Outgoing]:
+        """Pool admission: the reject reason, or None and the gossip of the
+        admitted transaction to the other validators."""
+        reason = submit_to_pool(self.state, tx, now, self.provider)
+        if reason is not None:
+            self.events.append(f"tx_reject id={tx_id(tx).hex()[:10]} reason={reason}")
+            return reason, []
+        self.events.append(f"tx_accept id={tx_id(tx).hex()[:10]}")
+        gossip = TxGossip(tx=tx)
+        return None, [(peer, gossip) for peer in self._peers()]
+
     def handle(self, msg: Message, src: str, now: int) -> Outgoing:
         if isinstance(msg, TxGossip):
-            reason = submit_to_pool(self.state, msg.tx, now, self.provider)
-            if reason is not None:
-                self.events.append(f"tx_reject id={tx_id(msg.tx).hex()[:10]} reason={reason}")
-            else:
-                self.events.append(f"tx_accept id={tx_id(msg.tx).hex()[:10]}")
+            self.admit(msg.tx, now)  # received gossip is not relayed
             return []
         if isinstance(msg, BlockAnnounce):
             return self._receive_block(msg.block, src, now)

@@ -48,7 +48,6 @@ class NetworkConfig:
     latency: int | tuple[int, int] = 1
     drop_prob: float = 0.0
     partitions: tuple[tuple[int, int, frozenset[str]], ...] = ()
-    block_interval: int = 1
     retransmit_interval: int = 5
 
     def __post_init__(self):
@@ -58,8 +57,6 @@ class NetworkConfig:
         hi = self.latency if isinstance(self.latency, int) else self.latency[1]
         if lo < 1 or hi < lo:
             raise ConfigurationError("latency must be >= 1 tick")
-        if self.block_interval < 1:
-            raise ConfigurationError("block_interval must be >= 1")
 
 
 @dataclass

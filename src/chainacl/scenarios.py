@@ -213,7 +213,7 @@ def build_world(
         validator_names=VALIDATOR_NAMES,
     )
     for rid in range(fixtures.n_resources):
-        storage_core.service.put_resource(rid, fixtures.payload(rid), name=f"res-{rid}")
+        storage_core.service.put_resource(rid, fixtures.payload(rid))
     return world
 
 

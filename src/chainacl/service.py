@@ -11,7 +11,7 @@ plus a human-readable ``reason``.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Protocol
 
@@ -31,7 +31,11 @@ class ServiceConfigError(ValueError):
 
 @dataclass(frozen=True)
 class ServiceConfig:
-    """node configuration, parsed from key=value text with env overrides."""
+    """node configuration, parsed from key=value text with env overrides.
+
+    ``format`` writes the fields in this order, ``peers`` as one
+    ``peer=name:host:port`` line each.
+    """
 
     name: str = "v0"
     role: str = "validator"
@@ -39,14 +43,15 @@ class ServiceConfig:
     port: int = 9100
     key_file: str = ""
     genesis_file: str = ""
-    model_file: str = ""
-    rules_file: str = ""
     data_dir: str = ""
     storage_node: str = "s0"  # peer name that serves redemptions
+    model_file: str = ""
+    rules_file: str = ""
     peers: tuple[tuple[str, str, int], ...] = ()  # (name, host, port)
 
     @classmethod
     def parse(cls, text: str) -> "ServiceConfig":
+        keys = {f.name for f in fields(cls)} - {"peers"}
         values: dict = {}
         peers: list[tuple[str, str, int]] = []
         for line_no, raw in enumerate(text.splitlines(), start=1):
@@ -62,26 +67,24 @@ class ServiceConfig:
                 if len(parts) != 3:
                     raise ServiceConfigError(f"line {line_no}: peer wants name:host:port")
                 peers.append((parts[0], parts[1], int(parts[2])))
-            elif key == "port":
-                values["port"] = int(value)
-            elif key in (
-                "name",
-                "role",
-                "host",
-                "key_file",
-                "genesis_file",
-                "model_file",
-                "rules_file",
-                "data_dir",
-                "storage_node",
-            ):
-                values[key] = value
+            elif key in keys:
+                values[key] = int(value) if key == "port" else value
             else:
                 raise ServiceConfigError(f"line {line_no}: unknown key {key!r}")
         config = cls(peers=tuple(peers), **values)
         if config.role not in ("validator", "storage"):
             raise ServiceConfigError(f"unknown role {config.role!r}")
         return config
+
+    def format(self) -> str:
+        """The text ``parse`` reads back as this config; empty fields are left out."""
+        lines = [
+            f"{f.name}={getattr(self, f.name)}"
+            for f in fields(self)
+            if f.name != "peers" and getattr(self, f.name) != ""
+        ]
+        lines += [f"peer={name}:{host}:{port}" for name, host, port in self.peers]
+        return "\n".join(lines) + "\n"
 
     @classmethod
     def load(cls, path) -> "ServiceConfig":

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 from .codec import BYTES, U64, decode_record, encode_record
 from .contracts import EnvelopeError, RequestResult, decrypt_request_results
-from .crypto import KeyPair, Provider, sha256
+from .crypto import KeyPair, Provider
 from .ledger import link_deadline
 from .transactions import (
     LinkDeliveryTx,
@@ -51,21 +51,6 @@ class RedeemError(StorageError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class ResourceMeta:
-    resource_id: int
-    name: str
-    digest: bytes
-    size: int
-
-
-@dataclass(frozen=True)
-class Resource:
-    resource_id: int
-    payload: bytes
-    meta: ResourceMeta
-
-
 @dataclass
 class AccessLink:
     link_token: bytes
@@ -73,7 +58,6 @@ class AccessLink:
     resource_id: int
     permitted_ops: tuple[bool, ...]
     user_pk: bytes
-    issued_at: int
     expires_at: int
     request_id: bytes
     redeemed: bool = False
@@ -134,7 +118,7 @@ class StorageService:
         self.keypair = keypair
         self.validators = tuple(validators)
         self.provider = provider or Provider(seed)
-        self.resources: dict[int, Resource] = {}
+        self.resources: dict[int, bytes] = {}  # resource id -> payload
         self.links: dict[bytes, AccessLink] = {}
         self._expiry: list[tuple[int, bytes]] = []  # heap of (expires_at, link_token)
         self.served_requests: set[bytes] = set()
@@ -142,19 +126,10 @@ class StorageService:
 
     # -- resources ----------------------------------------------------------
 
-    def put_resource(self, resource_id: int, payload: bytes, name: str = "") -> ResourceMeta:
+    def put_resource(self, resource_id: int, payload: bytes) -> None:
         if resource_id in self.resources:
             raise StorageError(f"resource {resource_id} already stored")
-        digest = sha256(payload)
-        meta = ResourceMeta(resource_id=resource_id, name=name, digest=digest, size=len(payload))
-        self.resources[resource_id] = Resource(resource_id=resource_id, payload=payload, meta=meta)
-        return meta
-
-    def get_metadata(self, resource_id: int) -> ResourceMeta:
-        resource = self.resources.get(resource_id)
-        if resource is None:
-            raise StorageError(f"unknown resource {resource_id}")
-        return resource.meta
+        self.resources[resource_id] = payload
 
     # -- link issuance --------------------------------------------------------
 
@@ -198,7 +173,6 @@ class StorageService:
             resource_id=result.resource_id,
             permitted_ops=tuple(result.access_list),
             user_pk=result.user_pk,
-            issued_at=now,
             expires_at=link_deadline(now),
             request_id=result.request_id,
         )
@@ -230,14 +204,14 @@ class StorageService:
             raise RedeemError(REDEEM_EXPIRED)
         if not link.permitted_ops[operation]:
             raise RedeemError(REDEEM_OP_NOT_PERMITTED)
-        resource = self.resources.get(link.resource_id)
-        if resource is None:
+        payload = self.resources.get(link.resource_id)
+        if payload is None:
             raise RedeemError(REDEEM_UNKNOWN_TOKEN, "resource vanished")
         link.redeemed = True
         log_tx = build_redemption_log_tx(
             self.provider, self.keypair, link.nonce, now, link.user_pk, link.request_id
         )
-        return resource.payload, log_tx
+        return payload, log_tx
 
     def expire_links(self, now: int) -> int:
         """Mark overdue links unredeemable; returns how many just expired.

@@ -18,7 +18,7 @@ from dataclasses import dataclass, field, replace
 from typing import Union
 
 from .codec import BYTES, U8, U64, CodecError, Memoized, Reader, Writer, inline, read_fields, write_fields
-from .crypto import KeyPair, Provider, sha256
+from .crypto import PUBLIC_KEY_LEN, KeyPair, Provider, sha256
 
 N_OPERATIONS = 4
 OPERATION_NAMES = ("op1", "op2", "op3", "op4")
@@ -92,6 +92,10 @@ class RegisterUserTx(Memoized):
     FIELDS = (("admin_pk", BYTES), ("user_pk", BYTES), ("time", U64))
     SIGNATURE = "admin_sig"
     SIGNER = "admin_pk"
+
+    def __post_init__(self) -> None:
+        if len(self.user_pk) != PUBLIC_KEY_LEN:
+            raise TransactionError(f"user_pk must be {PUBLIC_KEY_LEN} bytes")
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Socket transport: real nodes on localhost driving the full access flow."""
 
+import json
 import os
 import socket
 import struct
@@ -184,6 +185,87 @@ def test_live_redemption_joins_the_retransmit_backlog(fixtures):
     assert not core.events  # nothing accumulates for a trace no live node keeps
 
 
+def _serve_one(node, request):
+    """Serve one service call through ``_serve_conn`` on a socket pair, on
+    this thread; returns the reply and each send as (peer, kind, thread)."""
+    sent = []
+    node._dispatch = lambda outgoing: sent.extend(
+        (dst, type(msg).__name__, threading.current_thread()) for dst, msg in outgoing
+    )
+    client, server = socket.socketpair()
+    with client:
+        send_frame(client, bytes([transport.CHANNEL_SERVICE]) + json.dumps(request).encode())
+        client.shutdown(socket.SHUT_WR)
+        node._serve_conn(server)
+        reply = json.loads(recv_frame(client))
+    return reply, sent
+
+
+def test_submitted_tx_is_gossiped_to_validators_by_the_serving_thread(fixtures):
+    core = ValidatorCore(
+        name="v0",
+        keypair=fixtures.validators[0],
+        config=fixtures.config,
+        runtime=fixtures.runtime(),
+        provider=Provider(2003),
+        validator_names=VNAMES,
+        storage_name="s0",
+    )
+    peers = {name: ("127.0.0.1", 1) for name in ("v1", "v2", "s0")}
+    node = LiveNode("v0", core, "127.0.0.1", 0, peers=peers)
+    reg = build_register_user_tx(
+        fixtures.provider, fixtures.admin, fixtures.users[0].public_key, time=node.now()
+    )
+    request = {"op": "submit_tx", "tx": encode_transaction(reg).hex()}
+
+    reply, sent = _serve_one(node, request)
+    assert reply["ok"], reply
+    here = threading.current_thread()
+    assert sent == [("v1", "TxGossip", here), ("v2", "TxGossip", here)]
+    assert len(core.state.pending_pool) == 1 and not core.events
+
+    reply, sent = _serve_one(node, request)  # a refused transaction is not gossiped
+    assert reply == {"ok": False, "error": "rejected", "reason": "duplicate"}
+    assert sent == []
+
+
+def test_redemption_is_gossiped_by_the_serving_thread(fixtures):
+    u, r, op = fixtures.pairs["model_allows"]
+    user = fixtures.users[u]
+    core = StorageCore(
+        name="s0",
+        keypair=fixtures.storage,
+        config=fixtures.config,
+        provider=Provider(2004),
+        validator_names=VNAMES,
+    )
+    core.service.put_resource(r, fixtures.payload(r))
+    node = LiveNode("s0", core, "127.0.0.1", 0, peers={})
+    now = node.now()
+    result = RequestResult(
+        request_id=b"\x5b" * 16,
+        user_pk=user.public_key,
+        resource_id=r,
+        operation=op,
+        access_list=(True,) * 4,
+        granted=True,
+        time=now,
+    )
+    envelope = encrypt_request_results(Provider(2005), [result], fixtures.config.storage_pk, fixtures.validators[0])
+    ((_, minted), *_) = core.handle(ResultDelivery(envelope=envelope), "v0", now)
+    grant = open_link_ciphertext(fixtures.provider, user, minted.tx.ciphertext)
+    request = {"op": "redeem", "token": grant.link_token.hex(), "nonce": grant.nonce.hex(), "operation": op}
+
+    reply, sent = _serve_one(node, request)
+    assert reply == {"ok": True, "payload": fixtures.payload(r).hex()}
+    here = threading.current_thread()
+    assert sent == [(v, "TxGossip", here) for v in VNAMES]
+
+    reply, sent = _serve_one(node, request)
+    assert reply == {"ok": False, "error": "redeem_rejected", "reason": "already_redeemed"}
+    assert sent == []
+
+
 @pytest.fixture
 def cluster(fixtures):
     """Three validators and a storage node on localhost TCP ports."""
@@ -212,7 +294,7 @@ def cluster(fixtures):
     )
     pair_resources = {r for (_, r, _) in fixtures.pairs.values()}
     for rid in sorted(pair_resources):
-        storage_core.service.put_resource(rid, fixtures.payload(rid), name=f"res-{rid}")
+        storage_core.service.put_resource(rid, fixtures.payload(rid))
     nodes.append(LiveNode("s0", storage_core, "127.0.0.1", BASE_PORT + 3, peers, tick_period=0.05))
     for node in nodes:
         node.start()

@@ -33,8 +33,6 @@ def test_network_config_validation():
         NetworkConfig(latency=0)
     with pytest.raises(ConfigurationError):
         NetworkConfig(latency=(3, 2))
-    with pytest.raises(ConfigurationError):
-        NetworkConfig(block_interval=0)
 
 
 def test_same_seed_reproduces_trace_and_state(fixtures):

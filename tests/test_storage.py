@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from chainacl.contracts import RequestResult, encrypt_request_result, encrypt_request_results
-from chainacl.crypto import Provider, sha256
+from chainacl.crypto import Provider
 from chainacl.ledger import LINK_LIFETIME, link_deadline
 from chainacl.storage import (
     LINK_TOKEN_LEN,
@@ -47,7 +47,7 @@ def service(p, actors):
         validators=tuple(v.public_key for v in actors["validators"]),
         provider=p,
     )
-    svc.put_resource(5, b"the quick brown payload", name="r5")
+    svc.put_resource(5, b"the quick brown payload")
     return svc
 
 
@@ -74,13 +74,9 @@ def _issue(service, p, actors, **kw):
 
 
 def test_put_resource_and_metadata(service):
-    meta = service.get_metadata(5)
-    assert meta.digest == sha256(b"the quick brown payload")
-    assert meta.size == len(b"the quick brown payload")
     with pytest.raises(StorageError):
         service.put_resource(5, b"again")
-    with pytest.raises(StorageError):
-        service.get_metadata(6)
+    assert service.resources[5] == b"the quick brown payload"
 
 
 def test_granted_result_mints_encrypted_link(service, p, actors):

@@ -5,8 +5,8 @@ import random
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chainacl.codec import CodecError
-from chainacl.crypto import Provider
+from chainacl.codec import CodecError, Writer
+from chainacl.crypto import PUBLIC_KEY_LEN, Provider
 from chainacl.transactions import (
     MAX_RESOURCE_ID,
     N_OPERATIONS,
@@ -147,6 +147,25 @@ def test_signatures_verify_and_localize(provider, keys):
     assert transaction_signature_check(link) is None
     assert transaction_signature_check(redeem, storage_pk)[0] == storage_pk
     assert transaction_signature_check(unsigned, storage_pk) is None
+
+
+def test_register_refuses_a_malformed_user_key(provider, keys):
+    """A registered key that cannot sign would still take a user index."""
+    for length in (0, 1, PUBLIC_KEY_LEN - 1, PUBLIC_KEY_LEN + 1):
+        with pytest.raises(TransactionError):
+            build_register_user_tx(provider, keys["admin"], b"\x07" * length, time=5)
+
+    def field(data):
+        w = Writer()
+        w.bytes_(data)
+        return w.getvalue()
+
+    good = build_register_user_tx(provider, keys["admin"], keys["user"].public_key, time=5)
+    wire = encode_transaction(good)
+    short = wire.replace(field(good.user_pk), field(good.user_pk[:-1]))
+    assert short != wire
+    with pytest.raises(TransactionError):
+        decode_transaction(short)
 
 
 def test_signature_covers_payload(provider, keys):
