@@ -18,6 +18,7 @@ from .blocks import GenesisConfig
 from .contracts import ContractRuntime
 from .crypto import CryptoError, KeyPair, Provider, load_keypair, save_keypair
 from .engine import (
+    GRANT_THRESHOLD,
     SyntheticPolicy,
     TrainConfig,
     format_rules,
@@ -112,14 +113,14 @@ def cmd_init(args) -> int:
     directory = _data_dir(args.dir)
     if directory.exists() and any(directory.iterdir()) and not args.force:
         raise CliError(f"{directory} is not empty; pass --force to overwrite")
-    (directory / "keys").mkdir(parents=True, exist_ok=True)
-    (directory / "resources").mkdir(parents=True, exist_ok=True)
 
     print(f"building fixtures (seed={args.seed}, users={args.users}, resources={args.resources})")
-    fx = scenarios.build_fixtures(args.seed, args.users, args.resources)
+    fx = scenarios.build_fixtures(args.seed, args.users, args.resources)  # before anything is written
     print(
         f"model trained: train_acc={fx.train_accuracy:.4f} holdout_acc={fx.holdout_accuracy:.4f}"
     )
+    (directory / "keys").mkdir(parents=True, exist_ok=True)
+    (directory / "resources").mkdir(parents=True, exist_ok=True)
 
     keys = directory / "keys"
     save_keypair(keys, "admin", fx.admin)
@@ -387,7 +388,7 @@ def cmd_model_eval(args) -> int:
     policy = SyntheticPolicy(seed=args.seed)
     dataset = generate_dataset(policy, args.users, args.resources)
     scores = forward(model, dataset.inputs)
-    grants = scores >= 0.5
+    grants = scores >= GRANT_THRESHOLD
     truth = dataset.labels >= 0.5
     overall = float((grants == truth).mean())
     print(f"cells={grants.size} accuracy={overall:.4f}")

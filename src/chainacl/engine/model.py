@@ -19,7 +19,7 @@ from ..transactions import RESOURCE_BITS_WIDTH, USER_BITS_WIDTH
 from .policy import LabeledDataset
 
 DEFAULT_LAYER_DIMS = (USER_BITS_WIDTH + RESOURCE_BITS_WIDTH, 64, 64, 4)
-DEFAULT_THRESHOLD = 0.5
+GRANT_THRESHOLD = 0.5  # a score at or above it grants the operation
 
 _MAGIC = b"CACLMDL"
 _FORMAT_VERSION = 1
@@ -174,7 +174,7 @@ def _accuracy(model: DecisionModel, inputs: np.ndarray, labels: np.ndarray) -> f
     if len(inputs) == 0:
         return 1.0
     scores = forward(model, inputs)
-    return float(np.mean((scores >= DEFAULT_THRESHOLD) == (labels >= 0.5)))
+    return float(np.mean((scores >= GRANT_THRESHOLD) == (labels >= 0.5)))
 
 
 def train(model: DecisionModel, dataset: LabeledDataset, config: TrainConfig = TrainConfig()) -> TrainReport:

@@ -17,6 +17,7 @@ from ..transactions import (
     OPERATION_NAMES,
     operation_index,
 )
+from .model import GRANT_THRESHOLD
 
 ALLOW = "allow"
 DENY = "deny"
@@ -110,9 +111,8 @@ def decide_access(
     model_scores: Sequence[float],
     user_index: int,
     resource_id: int,
-    threshold: float = 0.5,
 ) -> AccessDecision:
-    model_grants = tuple(bool(s >= threshold) for s in model_scores)
+    model_grants = tuple(bool(s >= GRANT_THRESHOLD) for s in model_scores)
     final, overridden = apply_priority_rules(rules, model_grants, user_index, resource_id)
     return AccessDecision(
         access_list=final,

@@ -180,14 +180,15 @@ class ContractHooks(Protocol):
 class LedgerState:
     """Replayed view of the chain plus the node-local pending pool.
 
-    Everything except ``pending_pool``/``pool_ids`` is consensus state and
-    feeds ``state_digest``; ``link_expiry`` is an index derived from
-    ``requests``. ``pool_ids`` doubles as the ids whose signatures this node
-    checked when it admitted them, which block execution need not check
-    again. ``apply_block`` writes the consensus state in place, each write
-    through an undo journal that takes a failed block back out. Values
-    inside the maps are frozen records that writes replace, never edit, so
-    ``clone``, which ``build_block`` executes on, is a set of shallow copies.
+    Everything except ``pending_pool`` is consensus state and feeds
+    ``state_digest``; ``link_expiry`` is an index derived from
+    ``requests``. The pool maps each admitted transaction's id to it, in
+    admission order; its keys double as the ids whose signatures this node
+    checked on admission, which block execution need not check again.
+    ``apply_block`` writes the consensus state in place, each write through
+    an undo journal that takes a failed block back out. Values inside the
+    maps are frozen records that writes replace, never edit, so ``clone``,
+    which ``build_block`` executes on, is a set of shallow copies.
     """
 
     def __init__(self, config: GenesisConfig):
@@ -199,8 +200,7 @@ class LedgerState:
         self.access_log: list[LogEntry] = []
         self.requests: dict[bytes, RequestRecord] = {}
         self.seen_tx_ids: set[bytes] = set()
-        self.pending_pool: list[Transaction] = []
-        self.pool_ids: set[bytes] = set()
+        self.pending_pool: dict[bytes, Transaction] = {}  # tx_id -> tx
         # heap of (deadline, request seq, request_id), one per issued link
         self.link_expiry: list[tuple[int, int, bytes]] = []
 
@@ -241,8 +241,7 @@ class LedgerState:
         st.access_log = list(self.access_log)
         st.requests = dict(self.requests)
         st.seen_tx_ids = set(self.seen_tx_ids)
-        st.pending_pool = list(self.pending_pool)
-        st.pool_ids = set(self.pool_ids)
+        st.pending_pool = dict(self.pending_pool)
         st.link_expiry = list(self.link_expiry)
         return st
 
@@ -285,21 +284,18 @@ def validate_transaction(
     tx: Transaction,
     now: int,
     provider: Provider = _VERIFIER,
-    against_pool: bool = True,
     verified: Container[bytes] = (),
 ) -> str | None:
-    """None when admissible against the given state, else a reject reason.
+    """None when admissible against the chain history of ``state``, else a
+    reject reason; the pool is not consulted (``submit_to_pool`` does that).
 
-    ``against_pool`` treats pool membership as a duplicate too; admission
-    wants that, but block execution must judge pool transactions against
-    chain history alone or they would collide with themselves.
     ``verified`` holds the ids whose signatures this node has already
     checked; a transaction among them keeps that check. Its ``tx_id``
     covers every field and the signature, so the bytes are the ones
     verified then, against the same genesis keys.
     """
     txid = tx_id(tx)
-    if txid in state.seen_tx_ids or (against_pool and txid in state.pool_ids):
+    if txid in state.seen_tx_ids:
         return REJECT_DUPLICATE
     handler = _HANDLERS.get(type(tx))
     if handler is None:
@@ -362,13 +358,13 @@ def _check_redemption(state: LedgerState, tx: RedemptionLogTx, now: int) -> str 
 
 
 def submit_to_pool(state: LedgerState, tx: Transaction, now: int, provider: Provider = _VERIFIER) -> str | None:
-    """Admit into the local pending pool; returns reject reason or None."""
-    reason = validate_transaction(state, tx, now, provider)
-    if reason is not None:
-        return reason
-    state.pending_pool.append(tx)
-    state.pool_ids.add(tx_id(tx))
-    return None
+    """Admit into the local pending pool; returns reject reason or None.
+    A transaction already pooled is a duplicate, as one already on chain."""
+    txid = tx_id(tx)
+    reason = REJECT_DUPLICATE if txid in state.pending_pool else validate_transaction(state, tx, now, provider)
+    if reason is None:
+        state.pending_pool[txid] = tx
+    return reason
 
 
 # -- block execution -----------------------------------------------------------
@@ -580,73 +576,36 @@ def _execute_block_txs(
     state: LedgerState,
     journal: _Journal,
     outcome: ApplyOutcome,
-    txs: Sequence[Transaction],
+    txs: Iterable[Transaction],
     runtime: ContractHooks | None,
     height: int,
     block_time: int,
-    derive: bool,
     provider: Provider,
     verified: Container[bytes],
-) -> tuple[Transaction, ...] | None:
-    """Shared engine for sealing (derive=True) and verification.
+) -> tuple[Transaction, ...]:
+    """Execute ``txs`` in order as the block at ``height``: the one engine
+    behind both sealing and verification.
 
-    When deriving, inadmissible pool transactions are skipped and the
-    returned tuple (with verification transactions interleaved) is what
-    the leader seals. When verifying, the tuple must match the block's
-    transactions exactly; any divergence fails the whole block by
-    returning None with outcome.reason set. Signatures of transactions
-    whose ids are in ``verified`` are not checked again. Every write to
-    ``state`` goes through ``journal``.
+    An inadmissible transaction is skipped and listed in
+    ``outcome.skipped``. Each request that passes authentication is
+    followed in the returned tuple by the verification transaction its
+    contracts derived. That tuple is what a leader seals, so a replica
+    verifies a block by running its transactions less those verification
+    records through here and comparing. Signatures of transactions whose
+    ids are in ``verified`` are not checked again. Every write to ``state``
+    goes through ``journal``.
     """
     included: list[Transaction] = []
-    expected_verified: VerifiedRequestTx | None = None
-
-    def fail(reason: str, detail: str = "") -> None:
-        outcome.reason = f"{reason}: {detail}" if detail else reason
-
     for tx in txs:
-        if expected_verified is not None:
-            # verification mode only: the tx after a passing request must
-            # be the bit-identical contract output. The codec has exactly one
-            # encoding per value, so equal values are equal bytes.
-            if tx != expected_verified:
-                fail("verified_mismatch", "contract re-derivation disagrees with block")
-                return None
-            included.append(tx)
-            journal.add(state.seen_tx_ids, tx_id(tx))
-            expected_verified = None
-            continue
-
-        handler = _HANDLERS.get(type(tx))
-        if handler is None:
-            if derive:
-                outcome.skipped.append((tx, REJECT_INTERNAL_ONLY))
-                continue
-            fail(REJECT_INTERNAL_ONLY, "verification tx without preceding request")
-            return None
-
-        reason = validate_transaction(state, tx, block_time, provider, against_pool=False, verified=verified)
+        reason = validate_transaction(state, tx, block_time, provider, verified)
         if reason is not None:
-            if derive:
-                outcome.skipped.append((tx, reason))
-                continue
-            fail(reason, "inadmissible transaction in block")
-            return None
-
-        output = handler.execute(state, journal, outcome, tx, runtime, height, block_time)
+            outcome.skipped.append((tx, reason))
+            continue
+        output = _HANDLERS[type(tx)].execute(state, journal, outcome, tx, runtime, height, block_time)
         included.append(tx)
         journal.add(state.seen_tx_ids, tx_id(tx))
         if output is not None:
-            if derive:
-                included.append(output)
-                journal.add(state.seen_tx_ids, tx_id(output))
-            else:
-                expected_verified = output
-
-    if expected_verified is not None:
-        fail("verified_mismatch", "missing contract output at end of block")
-        return None
-
+            included.append(output)
     _sweep_expired(state, journal, height, block_time)
     return tuple(included)
 
@@ -666,12 +625,20 @@ def _engine_ok(state: LedgerState, runtime: ContractHooks | None, txs: Iterable[
 
 
 def _commit(state: LedgerState, block: Block, outcome: ApplyOutcome) -> None:
-    """Append ``block`` to the state that executed it, drop its transactions
-    from the pool, and make that state the outcome."""
+    """Append ``block`` to the state that executed it, record its
+    transactions as seen and drop them from the pool, and make that state
+    the outcome.
+
+    Execution recorded the ids of the admitted transactions, which a later
+    one in the block may repeat; a verification record's id, which no
+    admissible transaction can repeat, is recorded here from the block's
+    own copy, whose encoding sealing or hashing the block has cached.
+    """
     state.chain.append(block)
-    included = {tx_id(tx) for tx in block.transactions}
-    state.pending_pool = [tx for tx in state.pending_pool if tx_id(tx) not in included]
-    state.pool_ids -= included
+    for tx in block.transactions:
+        txid = tx_id(tx)
+        state.seen_tx_ids.add(txid)
+        state.pending_pool.pop(txid, None)
     outcome.ok = True
     outcome.state = state
 
@@ -693,9 +660,14 @@ def apply_block(
     rollback. ``verified`` holds the ids, transaction ids and block hashes,
     whose signatures this node has already checked; by default those of
     its pool.
+
+    The block's transactions, less its verification records, execute
+    exactly as ``build_block`` executes a pool; the block is accepted only
+    if none of them is skipped and the result is the block's own
+    transactions, so every record is the one this node's contracts derive.
     """
     if verified is None:
-        verified = state.pool_ids
+        verified = state.pending_pool
     outcome = ApplyOutcome(ok=False)
     tip = state.chain[-1]
 
@@ -724,23 +696,20 @@ def apply_block(
         return outcome
 
     journal = _Journal()
+    submitted = [tx for tx in block.transactions if type(tx) is not VerifiedRequestTx]
     try:
         executed = _execute_block_txs(
-            state,
-            journal,
-            outcome,
-            block.transactions,
-            runtime,
-            block.height,
-            block.time,
-            derive=False,
-            provider=provider,
-            verified=verified,
+            state, journal, outcome, submitted, runtime, block.height, block.time, provider, verified=verified
         )
     except BaseException:
         journal.rollback()
         raise
-    if executed is None:
+    if outcome.skipped:
+        outcome.reason = f"{outcome.skipped[0][1]}: inadmissible transaction in block"
+    elif executed != block.transactions:
+        # the codec has exactly one encoding per value, so equal values are equal bytes
+        outcome.reason = "verified_mismatch: contract re-derivation disagrees with block"
+    if outcome.reason:
         journal.rollback()
         outcome.results = []
         return outcome
@@ -778,25 +747,16 @@ def build_block(
     if not state.pending_pool:
         outcome.reason = "empty_pool"
         return None, outcome
-    engine_problem = _engine_ok(state, runtime, state.pending_pool)
+    engine_problem = _engine_ok(state, runtime, state.pending_pool.values())
     if engine_problem is not None:
         outcome.reason = engine_problem
         return None, outcome
 
     scratch = state.clone()
+    pool = state.pending_pool
     executed = _execute_block_txs(
-        scratch,
-        _Journal(),
-        outcome,
-        list(state.pending_pool),
-        runtime,
-        tip.height + 1,
-        now,
-        derive=True,
-        provider=provider,
-        verified=state.pool_ids,
+        scratch, _Journal(), outcome, pool.values(), runtime, tip.height + 1, now, provider, verified=pool
     )
-    assert executed is not None  # derive mode skips instead of failing
     if not executed:
         outcome.reason = "empty_pool"
         return None, outcome

@@ -142,8 +142,9 @@ class ValidatorCore:
             self.events.append(f"chain_reject reason={exc}")
             return
         # carry over pool entries the new chain has not included
-        fresh.pending_pool = [tx for tx in self.state.pending_pool if tx_id(tx) not in fresh.seen_tx_ids]
-        fresh.pool_ids = {tx_id(tx) for tx in fresh.pending_pool}
+        fresh.pending_pool = {
+            txid: tx for txid, tx in self.state.pending_pool.items() if txid not in fresh.seen_tx_ids
+        }
         self.state = fresh
         self.events.append(f"chain_adopt h={fresh.height} tip={fresh.tip_hash.hex()[:10]}")
 
@@ -154,14 +155,9 @@ class ValidatorCore:
         block, outcome = build_block(self.state, self.keypair, now, self.runtime, self.provider)
         if outcome.state is not None:
             self.state = outcome.state  # the sealed block, already executed
-        if outcome.skipped:
-            dropped = {tx_id(tx) for tx, _ in outcome.skipped}
-            for tx, why in outcome.skipped:
-                self.events.append(f"tx_drop id={tx_id(tx).hex()[:10]} reason={why}")
-            self.state.pending_pool = [
-                tx for tx in self.state.pending_pool if tx_id(tx) not in dropped
-            ]
-            self.state.pool_ids -= dropped
+        for tx, why in outcome.skipped:
+            self.events.append(f"tx_drop id={tx_id(tx).hex()[:10]} reason={why}")
+            self.state.pending_pool.pop(tx_id(tx), None)
         if block is not None:
             self.events.append(
                 f"seal h={block.height} hash={block_hash(block).hex()[:10]} txs={len(block.transactions)}"
@@ -178,7 +174,7 @@ class ValidatorCore:
         if now % self.retransmit_interval == 0:
             notice = TipNotice(height=self.state.height, tip_hash=self.state.tip_hash)
             out.extend((peer, notice) for peer in self._peers())
-            for tx in self.state.pending_pool:
+            for tx in self.state.pending_pool.values():
                 gossip = TxGossip(tx=tx)
                 out.extend((peer, gossip) for peer in self._peers())
         return out
@@ -250,9 +246,8 @@ class StorageCore:
 class UserCore:
     """User nodes only originate transactions and collect direct replies."""
 
-    def __init__(self, name: str, keypair: KeyPair | None = None):
+    def __init__(self, name: str):
         self.name = name
-        self.keypair = keypair
         self.replies: list[RedeemReply] = []
         self.events: list[str] = []
 

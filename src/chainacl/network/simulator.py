@@ -150,8 +150,8 @@ class World:
         self._add(SimNode(name=name, role=ROLE_STORAGE, core=core))
         return core
 
-    def add_user(self, name: str, keypair: KeyPair | None = None) -> UserCore:
-        core = UserCore(name=name, keypair=keypair)
+    def add_user(self, name: str) -> UserCore:
+        core = UserCore(name=name)
         self._add(SimNode(name=name, role=ROLE_USER, core=core))
         return core
 
@@ -270,7 +270,7 @@ class World:
         if isinstance(msg, TxGossip) and node.role == ROLE_VALIDATOR:
             txid = tx_id(msg.tx)
             state = node.core.state
-            return txid not in state.seen_tx_ids and txid not in state.pool_ids
+            return txid not in state.seen_tx_ids and txid not in state.pending_pool
         if isinstance(msg, BlockAnnounce) and node.role == ROLE_VALIDATOR:
             return msg.block.height > node.core.state.height
         if isinstance(msg, RedeemReply):

@@ -22,6 +22,7 @@ from .crypto import KeyPair, Provider, sha256
 from .engine import (
     ALLOW,
     DENY,
+    GRANT_THRESHOLD,
     DecisionModel,
     PriorityRule,
     SyntheticPolicy,
@@ -51,6 +52,11 @@ _GRANTED_STATUSES = ("granted", "link_issued", "redeemed")
 
 
 # -- fixtures ---------------------------------------------------------------------
+
+
+class FixtureError(ValueError):
+    """The trained model leaves no cell with a wanted decision, as on a grid
+    too small to hold one of each."""
 
 
 @dataclass
@@ -90,7 +96,7 @@ def _grant_table(model: DecisionModel, n_users: int, n_resources: int) -> np.nda
     """(n_users, n_resources, ops) boolean grid of model decisions."""
     policy_free = generate_dataset(SyntheticPolicy(seed=0), n_users, n_resources)
     scores = forward(model, policy_free.inputs)
-    return (scores >= 0.5).reshape(n_users, n_resources, N_OPERATIONS)
+    return (scores >= GRANT_THRESHOLD).reshape(n_users, n_resources, N_OPERATIONS)
 
 
 def _pick_cells(grants: np.ndarray) -> dict[str, tuple[int, int, int]]:
@@ -107,7 +113,7 @@ def _pick_cells(grants: np.ndarray) -> dict[str, tuple[int, int, int]]:
                     if bool(grants[u, r, op]) == want:
                         used.add((u, r))
                         return (u, r, op)
-        raise RuntimeError(f"model predicts no cell with grant={want}")
+        raise FixtureError(f"model predicts no free cell with grant={want}")
 
     return {
         "model_allows": pick(True),
@@ -121,7 +127,6 @@ def build_fixtures(
     seed: int = FIXTURE_SEED,
     n_users: int = N_USERS,
     n_resources: int = N_RESOURCES,
-    train_config: TrainConfig | None = None,
 ) -> Fixtures:
     provider = Provider(seed)
     admin = _fixture_keypair(provider, seed, "admin")
@@ -135,9 +140,7 @@ def build_fixtures(
 
     policy = SyntheticPolicy(seed=seed)
     dataset = generate_dataset(policy, n_users, n_resources)
-    report = train(
-        init_model(seed=seed), dataset, train_config or TrainConfig(seed=seed)
-    )
+    report = train(init_model(seed=seed), dataset, TrainConfig(seed=seed))
     model = report.model
 
     pairs = _pick_cells(_grant_table(model, n_users, n_resources))
@@ -713,7 +716,7 @@ def _matrix_cell(fixtures: Fixtures, want_grant: bool) -> tuple[int, int, int]:
         for op in range(N_OPERATIONS):
             if bool(grants[0, r, op]) == want_grant:
                 return (0, r, op)
-    raise RuntimeError(f"user 0 has no model cell with grant={want_grant}")
+    raise FixtureError(f"user 0 has no model cell with grant={want_grant}")
 
 
 def _run_matrix_row(

@@ -43,3 +43,11 @@ def test_register_user_with_a_short_key_is_refused_before_sending(tmp_path, caps
     # the node address is unreachable: an error about the key shows that no
     # connection was tried
     assert "user_pk must be 64 bytes" in _outputs(capsys)[1]
+
+
+def test_init_on_a_grid_too_small_for_the_fixtures_writes_nothing(tmp_path, capsys):
+    target = tmp_path / "net"
+    rc = main(["init", "--dir", str(target), "--users", "2", "--resources", "1"])
+    assert rc == EXIT_USAGE
+    assert "no free cell" in _outputs(capsys)[1]
+    assert not target.exists()

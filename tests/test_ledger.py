@@ -202,7 +202,9 @@ def test_build_block_skips_stale_and_forged_requests(seal_next, state, p, actors
     assert submit_to_pool(st, stale, now=2) is None  # fresh when pooled
     now = 2 + FRESHNESS_WINDOW + 1
     forged = _forged_request(p, user, b"\x32" * 16, now)
-    st.pending_pool.append(forged)  # a pool entry that never passed admission
+    # a pool entry that never passed admission: not keyed by its id, so its
+    # signature is not on record as checked
+    st.pending_pool[b"never admitted"] = forged
     good = build_access_request_tx(p, user, RequestInfo(3, 1, b"\x33" * 16), time=now)
     assert submit_to_pool(st, good, now=now) is None
     leader = next(v for v in actors["validators"] if v.public_key == slot_leader(now, st.config))
@@ -277,9 +279,13 @@ def test_pool_duplicate_vs_execution_duplicate(state, p, actors):
     assert submit_to_pool(state, tx, now=1) is None
     # second admission of the same bytes is a duplicate
     assert submit_to_pool(state, tx, now=1) == REJECT_DUPLICATE
-    # but judged against chain history alone the pooled tx is fine
-    assert validate_transaction(state, tx, now=1, against_pool=False) is None
-    assert validate_transaction(state, tx, now=1, against_pool=True) == REJECT_DUPLICATE
+    # but judged against chain history alone, as block execution judges it,
+    # the pooled tx is fine
+    assert validate_transaction(state, tx, now=1) is None
+    block, outcome = build_block(state, _leader_at(1, state.config, actors), 1)
+    assert block.transactions == (tx,) and not outcome.state.pending_pool
+    # once on chain it is a duplicate there
+    assert validate_transaction(outcome.state, tx, now=1) == REJECT_DUPLICATE
 
 
 def _grow_chain(state, p, actors, runtime, ticks=6):
@@ -355,7 +361,7 @@ def test_apply_block_rejects_wrong_leader(state, p, actors, runtime):
     )
     wrong = actors["validators"][2]
     forged = seal_block(
-        p, wrong, 1, block_hash(state.chain[0]), 1, tuple(state.pending_pool)
+        p, wrong, 1, block_hash(state.chain[0]), 1, tuple(state.pending_pool.values())
     )
     outcome = apply_block(state, forged, runtime)
     assert not outcome.ok and "wrong_leader" in outcome.reason
@@ -655,8 +661,7 @@ def test_leader_adopts_the_state_it_sealed(p, actors):
             adopted = outcome.state
             assert state_digest(adopted) == state_digest(applied.state)
             assert adopted.access_log == applied.state.access_log
-            assert adopted.pending_pool == applied.state.pending_pool
-            assert adopted.pool_ids == applied.state.pool_ids
+            assert list(adopted.pending_pool.items()) == list(applied.state.pending_pool.items())
             assert outcome.results == applied.results
             st, seals = adopted, seals + 1
         for record in st.requests.values():
@@ -815,8 +820,7 @@ def _fields(st):
         "access_log": list(st.access_log),
         "requests": [(rid, r, r.seq) for rid, r in st.requests.items()],
         "seen_tx_ids": set(st.seen_tx_ids),
-        "pending_pool": list(st.pending_pool),
-        "pool_ids": set(st.pool_ids),
+        "pending_pool": list(st.pending_pool.items()),
         "link_expiry": list(st.link_expiry),
     }
 
@@ -871,7 +875,7 @@ def test_in_place_apply_equals_apply_on_a_clone(p, actors):
             pending.append(build_access_request_tx(p, rng.choice(users + [ghost]), info, time=now))
     assert {type(tx) for block in st.chain[1:] for tx in block.transactions} == {cls for cls, _ in _WIRE.values()}
     assert {e.kind for e in st.access_log} == set(LOG_KINDS)
-    assert stale in st.pending_pool
+    assert stale in st.pending_pool.values()
 
 
 
@@ -944,6 +948,46 @@ def test_verified_mismatch_in_one_field_rolls_back(seal_next, state, p, actors, 
     outcome = apply_block(st, block, runtime, provider=p)
     assert not outcome.ok and outcome.reason.startswith("verified_mismatch:"), outcome.reason
     _assert_untouched(st, before, outcome)
+
+
+def _extra_record_at_head(txs):
+    return (next(tx for tx in txs if isinstance(tx, VerifiedRequestTx)),) + txs
+
+
+def _record_dropped(txs):
+    last = max(i for i, tx in enumerate(txs) if isinstance(tx, VerifiedRequestTx))
+    return txs[:last] + txs[last + 1:]
+
+
+def _records_swapped(txs):
+    first, second = [i for i, tx in enumerate(txs) if isinstance(tx, VerifiedRequestTx)]
+    out = list(txs)
+    out[first], out[second] = txs[second], txs[first]
+    return tuple(out)
+
+
+@pytest.mark.parametrize("tamper", [_extra_record_at_head, _record_dropped, _records_swapped])
+def test_block_that_is_not_the_derived_interleaving_rolls_back(seal_next, state, p, actors, runtime, tamper):
+    """Verification re-runs the block's requests as sealing does, so a
+    verification record added, dropped or moved is a mismatch, whatever
+    each record holds."""
+    st, user, rid, waiting = _rich_state(seal_next, state, p, actors, runtime)
+    now = 5
+    for tx in (
+        build_access_request_tx(p, user, RequestInfo(3, 1, b"\x99" * 16), time=now),
+        build_link_delivery_tx(p, actors["storage"], b"second link", waiting),
+        build_access_request_tx(p, user, RequestInfo(4, 2, b"\x9a" * 16), time=now),
+    ):
+        assert submit_to_pool(st, tx, now=now, provider=p) is None
+    leader = _leader_at(now, st.config, actors)
+    sealed, _ = build_block(st, leader, now, runtime, provider=p)
+    assert sum(isinstance(tx, VerifiedRequestTx) for tx in sealed.transactions) == 2
+    block = seal_block(p, leader, st.height + 1, st.tip_hash, now, tamper(sealed.transactions))
+    before = _fields(st)
+    outcome = apply_block(st, block, runtime, provider=p)
+    assert not outcome.ok and outcome.reason.startswith("verified_mismatch:"), outcome.reason
+    _assert_untouched(st, before, outcome)
+    assert apply_block(st, sealed, runtime, provider=p).state is st
 
 
 class _FailingRuntime:

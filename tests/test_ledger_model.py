@@ -242,9 +242,9 @@ class LedgerMachine(RuleBasedStateMachine):
         if sealed:
             self.state = self.seal_next(self.state, P, ACTORS, RUNTIME, self.now, [])
             self.last_block = self.now
-            assert [tx_id(tx) for tx in self.state.pending_pool] == [tx_id(tx) for tx in skipped]
+            assert list(self.state.pending_pool) == [tx_id(tx) for tx in skipped]
         # a validator drops what its seal skipped, as ValidatorCore does
-        self.state.pending_pool, self.state.pool_ids = [], set()
+        self.state.pending_pool.clear()
 
     @rule(dt=st.sampled_from([1, 2, 60, FRESHNESS_WINDOW + 1, LINK_LIFETIME]))
     def advance_clock(self, dt):
