@@ -11,9 +11,10 @@ block's results into a single envelope.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
-from functools import lru_cache, partial
-from typing import Sequence
+from functools import partial
+from typing import Collection, Sequence
 
 from .codec import (
     BOOLEAN,
@@ -32,13 +33,15 @@ from .codec import (
 from .crypto import KeyPair, Provider, sha256
 from .engine import (
     DecisionModel,
+    FixedPointModel,
     PriorityRule,
+    apply_priority_rules,
     binary_repr,
-    decide_access,
-    encode_pair,
+    encode_pairs,
+    fixed_point_grants,
     format_rules,
-    forward,
     model_to_bytes,
+    quantize_model,
 )
 from .ledger import LedgerState
 from .transactions import (
@@ -128,14 +131,23 @@ def _bits_to_int(bits: tuple[int, ...]) -> int:
     return value
 
 
-def _decide_cell(
-    model: DecisionModel, rules: list[PriorityRule], user_index: int, resource_id: int
-) -> tuple[tuple[bool, ...], tuple[bool, ...]]:
-    """(access_list, overridden) of one (user, resource) cell: model scores
-    folded with priority rules. ``forward`` and ``decide_access`` are looked
-    up when called, so a wrapper installed on this module sees each call."""
-    decision = decide_access(rules, forward(model, encode_pair(user_index, resource_id)), user_index, resource_id)
-    return decision.access_list, decision.overridden
+Decision = tuple[tuple[bool, ...], tuple[bool, ...]]  # (access_list, overridden)
+
+
+def _decide_cells(
+    fixed: FixedPointModel, rules: list[PriorityRule], cells: Sequence[tuple[int, int]]
+) -> list[Decision]:
+    """The decision of each (user_index, resource_id) cell: the fixed-point
+    model's grants, all cells in one batch, folded with priority rules.
+    ``fixed_point_grants`` is looked up when called, so a wrapper installed
+    on this module sees each batch."""
+    users, resources = zip(*cells)
+    grants = fixed_point_grants(fixed, encode_pairs(users, resources)).tolist()
+    return [apply_priority_rules(rules, g, u, r) for g, u, r in zip(grants, users, resources)]
+
+
+def _decide_cell(fixed: FixedPointModel, rules: list[PriorityRule], user_index: int, resource_id: int) -> Decision:
+    return _decide_cells(fixed, rules, ((user_index, resource_id),))[0]
 
 
 def _authorize(decide, verified: VerifiedRequestTx, request: AccessRequestTx, now: int) -> RequestResult:
@@ -163,8 +175,9 @@ def run_authorization(
     request: AccessRequestTx,
     now: int,
 ) -> RequestResult:
-    """Model scores folded with priority rules into the final grant vector."""
-    return _authorize(partial(_decide_cell, model, rules), verified, request, now)
+    """Model grants folded with priority rules into the final grant vector,
+    decided afresh on the fixed-point path block execution uses."""
+    return _authorize(partial(_decide_cell, quantize_model(model), rules), verified, request, now)
 
 
 def engine_fingerprint(model: DecisionModel, rules: list[PriorityRule]) -> bytes:
@@ -182,27 +195,62 @@ DECISION_CACHE_SIZE = 4096
 class ContractRuntime:
     """Engine bundle every validator runs; hooks consumed by block execution.
 
-    A cell's decision depends only on the model and rules, which are fixed
-    for the runtime's life (its fingerprint pins them at construction), so
-    ``authorize`` decides each (user_index, resource_id) cell once and
-    keeps the decision in a bounded LRU; a repeat returns the very
-    ``(access_list, overridden)`` a fresh decision would.
+    Decisions come from a fixed-point copy of the model, made once here,
+    so they are exact on every host (see ``engine.quantize_model``, which
+    refuses a model it cannot decide exactly). A cell's decision depends
+    only on the model and rules, which are fixed for the runtime's life
+    (its fingerprint pins them at construction), so the runtime keeps each
+    decided (user_index, resource_id) cell in a bounded LRU; a repeat
+    returns the very ``(access_list, overridden)`` a fresh decision would.
+    ``prepare_block`` fills the cache for a whole block in one batch, and
+    ``authorize`` decides a cell it still lacks on its own.
     """
 
     def __init__(self, model: DecisionModel, rules: list[PriorityRule]):
         self.model = model
         self.rules = list(rules)
         self._fingerprint = engine_fingerprint(model, rules)
-        self._decide = lru_cache(maxsize=DECISION_CACHE_SIZE)(partial(_decide_cell, self.model, self.rules))
+        self._fixed = quantize_model(model)
+        self._cells: OrderedDict[tuple[int, int], Decision] = OrderedDict()
 
     def fingerprint(self) -> bytes:
         return self._fingerprint
+
+    def prepare_block(self, state: LedgerState, txs: Collection) -> None:
+        """Decide, in one batch, the cells of the access requests among
+        ``txs`` whose users ``state`` has registered and that the cache
+        lacks. Requests of users registered later in the block are decided
+        one by one when authorized."""
+        wanted: dict[tuple[int, int], None] = {}
+        for tx in txs:
+            if type(tx) is AccessRequestTx and len(wanted) < DECISION_CACHE_SIZE:
+                record = state.user_record(tx.user_pk)
+                if record is not None and (cell := (record.user_index, tx.info.resource_id)) not in self._cells:
+                    wanted[cell] = None
+        if wanted:
+            for cell, decision in zip(wanted, _decide_cells(self._fixed, self.rules, tuple(wanted))):
+                self._keep(cell, decision)
 
     def authenticate(self, tx: AccessRequestTx, state: LedgerState) -> tuple[VerifiedRequestTx | None, str | None]:
         return run_authentication(tx, state)
 
     def authorize(self, verified: VerifiedRequestTx, request: AccessRequestTx, now: int) -> RequestResult:
         return _authorize(self._decide, verified, request, now)
+
+    def _decide(self, user_index: int, resource_id: int) -> Decision:
+        cell = (user_index, resource_id)
+        decision = self._cells.get(cell)
+        if decision is None:
+            decision = _decide_cell(self._fixed, self.rules, user_index, resource_id)
+            self._keep(cell, decision)
+        else:
+            self._cells.move_to_end(cell)
+        return decision
+
+    def _keep(self, cell: tuple[int, int], decision: Decision) -> None:
+        self._cells[cell] = decision
+        if len(self._cells) > DECISION_CACHE_SIZE:
+            self._cells.popitem(last=False)
 
 
 # -- delivery envelope -----------------------------------------------------------

@@ -4,17 +4,22 @@ Plain numpy multilayer perceptron with rectifier hidden layers and logistic
 outputs, trained by minibatch gradient descent on binary cross-entropy.
 Internally the loss works on logits (softplus form) so training and the
 finite-difference gradient checks stay numerically exact; the public
-``forward`` returns probabilities clipped into the open interval.
+``forward`` returns probabilities clipped into the open interval. Block
+execution decides instead on a fixed-point copy (``quantize_model``), whose
+grants are exact on every host; ``forward`` serves training, evaluation and
+displayed scores.
 """
 
 from __future__ import annotations
 
 import io
+import math
 import struct
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..blocks import ConfigurationError
 from ..transactions import RESOURCE_BITS_WIDTH, USER_BITS_WIDTH
 from .policy import LabeledDataset
 
@@ -115,6 +120,96 @@ def forward(model: DecisionModel, x: np.ndarray) -> np.ndarray:
     pre, _ = _forward_internals(model, batch)
     scores = np.clip(_sigmoid(pre[-1]), _SCORE_EPS, 1.0 - _SCORE_EPS)
     return scores[0] if single else scores
+
+
+# --- fixed-point decisions ----------------------------------------------------
+#
+# Block execution decides grants on every replica, so the decision must not
+# rest on how a BLAS build orders a float sum. Weights and biases are
+# rounded to integers in units of 2**-FIXED_POINT_BITS (np.rint rounds half
+# to even, and ldexp is exact, so every host gets the same integers). The
+# integers are held as float64 and the matmuls still go through BLAS, but
+# every product and partial sum is an integer below 2**53, which float64
+# holds exactly, so the result is exact whatever the kernel, summation
+# order, FMA or batch size (after Jacob et al., "Quantization and Training
+# of Neural Networks for Efficient Integer-Arithmetic-Only Inference",
+# CVPR 2018). The fixture model's accumulators stay below 2**44 at 16 bits
+# (2**52 at 20), which leaves room for larger operator-supplied weights.
+FIXED_POINT_BITS = 16
+_EXACT_LIMIT = 1 << 53
+
+
+@dataclass(frozen=True, eq=False)
+class FixedPointModel:
+    """Integer copy of a ``DecisionModel``; a pure function of its weights.
+
+    Activations and logits are integers in units of 2**-FIXED_POINT_BITS.
+    Inputs are bits. ``bound`` caps the magnitude of every partial sum and
+    activation of any input; ``threshold`` is the logit of
+    ``GRANT_THRESHOLD`` quantized the same way (0 for 0.5).
+    """
+
+    weights: tuple[np.ndarray, ...]
+    biases: tuple[np.ndarray, ...]
+    threshold: float
+    bound: int
+
+
+def quantize_model(model: DecisionModel) -> FixedPointModel:
+    """The fixed-point copy of ``model``; refuses, with ``ConfigurationError``,
+    a model with a non-finite parameter or one whose accumulators could
+    reach 2**53."""
+    weights, biases = [], []
+    for w, b in zip(model.weights, model.biases):
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise ConfigurationError("model has a non-finite weight or bias")
+        for values, out in ((w, weights), (b, biases)):
+            q = np.rint(np.ldexp(np.asarray(values, dtype=np.float64), FIXED_POINT_BITS))
+            if q.size and np.abs(q).max() >= _EXACT_LIMIT:
+                raise ConfigurationError("model weight too large for exact fixed-point decisions")
+            out.append(q)
+    bound = _accumulator_bound(weights, biases)
+    if bound >= _EXACT_LIMIT:
+        raise ConfigurationError(
+            f"model weights too large for exact fixed-point decisions: "
+            f"accumulators could reach 2^{math.log2(bound):.1f}, limit 2^53"
+        )
+    threshold = np.rint(np.ldexp(math.log(GRANT_THRESHOLD / (1.0 - GRANT_THRESHOLD)), FIXED_POINT_BITS))
+    return FixedPointModel(tuple(weights), tuple(biases), float(threshold), bound)
+
+
+def _accumulator_bound(weights: list[np.ndarray], biases: list[np.ndarray]) -> int:
+    """Largest magnitude any partial sum or activation of ``fixed_point_logits``
+    can take over all bit inputs, row by row, in exact integer arithmetic."""
+    reach = np.ones(weights[0].shape[1], dtype=object)  # per input unit: a bit
+    top = 0
+    for k, (w, b) in enumerate(zip(weights, biases)):
+        # every partial sum of a row's products, in any order, is at most this
+        sums = np.abs(w).astype(np.int64).astype(object) @ reach
+        rescaled = sums if k == 0 else (sums >> FIXED_POINT_BITS) + 1
+        reach = rescaled + np.abs(b).astype(np.int64).astype(object)
+        top = max(top, int(sums.max()), int(reach.max()))
+    return top
+
+
+def fixed_point_logits(fixed: FixedPointModel, bits: np.ndarray) -> np.ndarray:
+    """Exact integer logits (as float64) of a batch of bit rows."""
+    a = np.asarray(bits, dtype=np.float64)
+    last = len(fixed.weights) - 1
+    for k, (w, b) in enumerate(zip(fixed.weights, fixed.biases)):
+        a = a @ w.T
+        if k:
+            np.floor(np.ldexp(a, -FIXED_POINT_BITS, out=a), out=a)
+        a += b
+        if k != last:
+            np.maximum(a, 0.0, out=a)
+    return a
+
+
+def fixed_point_grants(fixed: FixedPointModel, bits: np.ndarray) -> np.ndarray:
+    """Per row and operation, whether the model grants: its integer logit is
+    at least the quantized threshold."""
+    return fixed_point_logits(fixed, bits) >= fixed.threshold
 
 
 def loss_and_gradient(

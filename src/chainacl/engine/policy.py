@@ -11,6 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import Sequence
 
 import numpy as np
 
@@ -49,6 +50,18 @@ def encode_pair(
     """Model input: user bits concatenated with resource bits, as float64."""
     bits = binary_repr(user_index, user_width) + binary_repr(resource_id, resource_width)
     return np.array(bits, dtype=np.float64)
+
+
+_PAIR_SHIFTS = np.arange(USER_BITS_WIDTH + RESOURCE_BITS_WIDTH - 1, -1, -1)
+
+
+def encode_pairs(user_indices: Sequence[int], resource_ids: Sequence[int]) -> np.ndarray:
+    """``encode_pair`` of each (user, resource) pair, one row each."""
+    for values, width in ((user_indices, USER_BITS_WIDTH), (resource_ids, RESOURCE_BITS_WIDTH)):
+        if min(values) < 0 or max(values) >> width:
+            raise EncodingError(f"a value does not fit in {width} unsigned bits")
+    packed = np.array([(u << RESOURCE_BITS_WIDTH) | r for u, r in zip(user_indices, resource_ids)], dtype=np.int64)
+    return ((packed[:, None] >> _PAIR_SHIFTS) & 1).astype(np.float64)
 
 
 def _bit(value: int, position: int) -> int:

@@ -23,7 +23,7 @@ from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass, field, replace
 from pathlib import Path
-from typing import Callable, Container, Iterable, Iterator, NamedTuple, Protocol, Sequence
+from typing import Callable, Collection, Container, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
 from .blocks import (
     Block,
@@ -43,6 +43,7 @@ from .transactions import (
     RedemptionLogTx,
     RegisterUserTx,
     Transaction,
+    USER_BITS_WIDTH,
     VerifiedRequestTx,
     transaction_signature_check,
     tx_id,
@@ -72,6 +73,11 @@ REJECT_DUPLICATE_REQUEST = "duplicate_request"
 REJECT_UNKNOWN_REQUEST = "unknown_request"
 REJECT_REPLAYED_NONCE = "replayed_nonce"
 REJECT_INTERNAL_ONLY = "internal_only"
+REJECT_USER_LIMIT = "user_limit"
+
+# A user's index is its registration order, and the contracts encode it in
+# USER_BITS_WIDTH bits, so the chain registers at most this many users.
+MAX_USERS = 1 << USER_BITS_WIDTH
 
 _VERIFIER = Provider()
 
@@ -171,6 +177,11 @@ class ContractHooks(Protocol):
     """Deterministic contract layer invoked during block execution."""
 
     def fingerprint(self) -> bytes: ...
+
+    def prepare_block(self, state: "LedgerState", txs: Collection[Transaction]) -> None:
+        """Called once per executed block, before its first transaction,
+        with the pre-block state; may decide ahead what ``authorize`` will
+        ask, and must not change what it returns."""
 
     def authenticate(self, tx: AccessRequestTx, state: "LedgerState") -> tuple[VerifiedRequestTx | None, str | None]: ...
 
@@ -310,7 +321,9 @@ def validate_transaction(
 def _check_register(state: LedgerState, tx: RegisterUserTx, now: int) -> str | None:
     if not _fresh(tx.time, now):
         return REJECT_STALE_TIME
-    return REJECT_DUPLICATE_USER if state.is_registered(tx.user_pk) else None
+    if state.is_registered(tx.user_pk):
+        return REJECT_DUPLICATE_USER
+    return REJECT_USER_LIMIT if len(state.users) >= MAX_USERS else None
 
 
 def _check_access_request(state: LedgerState, tx: AccessRequestTx, now: int) -> str | None:
@@ -576,7 +589,7 @@ def _execute_block_txs(
     state: LedgerState,
     journal: _Journal,
     outcome: ApplyOutcome,
-    txs: Iterable[Transaction],
+    txs: Collection[Transaction],
     runtime: ContractHooks | None,
     height: int,
     block_time: int,
@@ -593,8 +606,11 @@ def _execute_block_txs(
     verifies a block by running its transactions less those verification
     records through here and comparing. Signatures of transactions whose
     ids are in ``verified`` are not checked again. Every write to ``state``
-    goes through ``journal``.
+    goes through ``journal``. The runtime, when there is one, first sees
+    the whole of ``txs`` against the pre-block state.
     """
+    if runtime is not None:
+        runtime.prepare_block(state, txs)
     included: list[Transaction] = []
     for tx in txs:
         reason = validate_transaction(state, tx, block_time, provider, verified)

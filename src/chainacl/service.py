@@ -226,12 +226,16 @@ def _op_logs(backend: ServiceBackend, request: dict) -> dict:
         )
     kind = request.get("kind")
     decision = request.get("decision")
-    if kind is not None and not isinstance(kind, str):
-        raise ValueError("kind must be a string")
+    resource_id = request.get("resource_id")
+    for name, value in (("kind", kind), ("decision", decision)):
+        if value is not None and not isinstance(value, str):
+            raise ValueError(f"{name} must be a string")
+    if resource_id is not None and type(resource_id) is not int:  # bool is an int subclass
+        raise ValueError("resource_id must be an integer")
     entries = query_access_log(
         state,
         user_pk=_hex_field(request, "user_pk", required=False),
-        resource_id=request.get("resource_id"),
+        resource_id=resource_id,
         decision=decision,
         kind=kind,
         height_range=height_range,

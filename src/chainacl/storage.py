@@ -15,6 +15,7 @@ redemption to the request, and so the user, the link was issued for.
 from __future__ import annotations
 
 import heapq
+import hmac
 from dataclasses import dataclass
 
 from .codec import BYTES, U64, decode_record, encode_record
@@ -195,7 +196,7 @@ class StorageService:
         link = self.links.get(link_token)
         if link is None:
             raise RedeemError(REDEEM_UNKNOWN_TOKEN)
-        if nonce != link.nonce:
+        if not hmac.compare_digest(nonce, link.nonce):  # constant time: the nonce is a bearer secret
             raise RedeemError(REDEEM_WRONG_NONCE)
         if link.redeemed:
             raise RedeemError(REDEEM_ALREADY_REDEEMED)

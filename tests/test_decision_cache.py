@@ -62,29 +62,36 @@ def test_cached_authorize_equals_run_authorization(rule_set, requests):
         assert cached.overridden == fresh.overridden
 
 
+def _count_decided_rows(monkeypatch) -> list[int]:
+    """``fixed_point_grants`` is looked up on the contracts module when cells
+    are decided, so a wrapper installed there sees each batch; the list
+    gets each batch's row count."""
+    rows = []
+    grants = contracts.fixed_point_grants
+    monkeypatch.setattr(contracts, "fixed_point_grants", lambda fixed, bits: rows.append(len(bits)) or grants(fixed, bits))
+    return rows
+
+
 def test_each_cell_is_decided_once(monkeypatch):
-    """``forward`` is looked up on the contracts module when a cell is
-    decided, so a wrapper installed there counts each decision."""
-    calls = []
-    forward = contracts.forward
-    monkeypatch.setattr(contracts, "forward", lambda model, x: calls.append(1) or forward(model, x))
+    rows = _count_decided_rows(monkeypatch)
     runtime = ContractRuntime(MODEL, [])
     for n, (user, resource, op) in enumerate([(1, 2, 0), (1, 2, 3), (2, 1, 0), (1, 2, 1), (2, 1, 2)]):
         runtime.authorize(*_request(user, resource, op, n), now=50)
-    assert len(calls) == 2
+    assert rows == [1, 1]
 
 
 def test_cache_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(contracts, "DECISION_CACHE_SIZE", 4)
     deny = [PriorityRule(5, 2, None, 1, DENY), PriorityRule(5, None, 3, 0, ALLOW)]
-    runtime = ContractRuntime(MODEL, deny)
     sequence = [(u, r, (u + r) % N_OPERATIONS) for _ in range(3) for u in range(4) for r in range(3)]
-    for n, (user, resource, op) in enumerate(sequence):
-        verified, request = _request(user, resource, op, n)
-        result = runtime.authorize(verified, request, now=7)
-        assert result == run_authorization(MODEL, deny, verified, request, now=7)
-        assert runtime._decide.cache_info().currsize <= 4
-    assert runtime._decide.cache_info().misses > 12  # cells were evicted and decided again
+    requests = [_request(user, resource, op, n) for n, (user, resource, op) in enumerate(sequence)]
+    expected = [run_authorization(MODEL, deny, verified, request, now=7) for verified, request in requests]
+    rows = _count_decided_rows(monkeypatch)
+    runtime = ContractRuntime(MODEL, deny)
+    for (verified, request), result in zip(requests, expected):
+        assert runtime.authorize(verified, request, now=7) == result
+        assert len(runtime._cells) <= 4
+    assert sum(rows) > 12  # cells were evicted and decided again
 
 
 def test_wire_copy_is_refused_for_a_cached_cell():

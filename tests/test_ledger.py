@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import pytest
 
+from chainacl import ledger
 from chainacl.blocks import Block, GenesisConfig, block_hash, make_genesis_block, seal_block
 from chainacl.contracts import ContractRuntime, engine_fingerprint
 from chainacl.crypto import Provider, sha256
@@ -24,6 +25,7 @@ from chainacl.ledger import (
     REJECT_STALE_TIME,
     REJECT_UNAUTHORIZED,
     REJECT_UNKNOWN_REQUEST,
+    REJECT_USER_LIMIT,
     LedgerError,
     apply_block,
     build_block,
@@ -43,6 +45,7 @@ from chainacl.ledger import (
 )
 from chainacl.transactions import (
     _WIRE,
+    USER_BITS_WIDTH,
     AccessRequestTx,
     RequestInfo,
     VerifiedRequestTx,
@@ -63,6 +66,7 @@ REJECT_REASONS = {
     REJECT_UNKNOWN_REQUEST,
     REJECT_REPLAYED_NONCE,
     REJECT_INTERNAL_ONLY,
+    REJECT_USER_LIMIT,
 }
 
 
@@ -146,6 +150,32 @@ def test_register_rejects_duplicate_user(seal_next, state, p, actors):
     st = _registered(seal_next, state, p, actors)
     tx = build_register_user_tx(p, actors["admin"], actors["users"][0].public_key, time=2)
     assert validate_transaction(st, tx, now=2) == REJECT_DUPLICATE_USER
+
+
+def test_registration_past_the_user_index_width_is_refused(monkeypatch, seal_next, state, p, actors, runtime):
+    """A user's index is its registration order, read in USER_BITS_WIDTH
+    bits, so registration stops at MAX_USERS (patched down to 2 here)."""
+    assert ledger.MAX_USERS == 1 << USER_BITS_WIDTH
+    monkeypatch.setattr(ledger, "MAX_USERS", 2)
+    first, second, third = actors["users"][:3]
+    for user in (first, second, third):
+        assert submit_to_pool(state, build_register_user_tx(p, actors["admin"], user.public_key, time=1), 1, p) is None
+    block, outcome = build_block(state, _leader_at(1, state.config, actors), 1, runtime, provider=p)
+    assert [reason for _, reason in outcome.skipped] == [REJECT_USER_LIMIT]
+    st = apply_block(state, block, runtime, provider=p).state
+    assert st.user_record(third.public_key) is None
+    late = build_register_user_tx(p, actors["admin"], third.public_key, time=2)
+    assert validate_transaction(st, late, now=2) == REJECT_USER_LIMIT
+    before = _fields(st)
+    forced = seal_block(p, _leader_at(2, st.config, actors), st.height + 1, st.tip_hash, 2, (late,))
+    outcome = apply_block(st, forced, runtime, provider=p)
+    assert not outcome.ok and outcome.reason.startswith(REJECT_USER_LIMIT), outcome.reason
+    _assert_untouched(st, before, outcome)
+    # the chain goes on, and the last registered index still decides
+    request = build_access_request_tx(p, second, RequestInfo(1, 0, b"\x31" * 16), time=3)
+    st = seal_next(st, p, actors, runtime, 3, [request])
+    assert st.user_record(second.public_key).user_index == 1
+    assert st.requests[b"\x31" * 16].status == "granted"
 
 
 def test_register_rejects_non_admin(state, p, actors):
@@ -999,6 +1029,9 @@ class _FailingRuntime:
 
     def fingerprint(self):
         return self._runtime.fingerprint()
+
+    def prepare_block(self, state, txs):
+        self._runtime.prepare_block(state, txs)
 
     def authenticate(self, tx, state):
         return self._runtime.authenticate(tx, state)

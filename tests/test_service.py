@@ -249,6 +249,10 @@ def test_logs_filters_and_shape(state, actors):
     bounded = dispatch_service(backend, {"op": "logs", "from_height": 2})
     assert bounded["entries"] == []
     assert dispatch_service(backend, {"op": "logs", "kind": 5})["error"] == "usage"
+    assert len(dispatch_service(backend, {"op": "logs", "resource_id": 3})["entries"]) == 2
+    for bad in ({"resource_id": "3"}, {"resource_id": True}, {"resource_id": 3.0}, {"decision": 1}, {"decision": ["denied"]}):
+        out = dispatch_service(backend, {"op": "logs", **bad})
+        assert out["ok"] is False and out["error"] == "usage", bad
 
 
 def test_chain_render_and_range(state):

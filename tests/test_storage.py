@@ -153,9 +153,10 @@ def test_redeem_check_order(service, p, actors):
     with pytest.raises(RedeemError) as info:
         service.redeem(b"\x00" * LINK_TOKEN_LEN, grant.nonce, operation=1, now=20)
     assert info.value.reason == REDEEM_UNKNOWN_TOKEN
-    with pytest.raises(RedeemError) as info:
-        service.redeem(grant.link_token, b"\x00" * NONCE_LEN, operation=1, now=20)
-    assert info.value.reason == REDEEM_WRONG_NONCE
+    for wrong in (b"\x00" * NONCE_LEN, grant.nonce[:-1], grant.nonce + b"\x00"):
+        with pytest.raises(RedeemError) as info:
+            service.redeem(grant.link_token, wrong, operation=1, now=20)
+        assert info.value.reason == REDEEM_WRONG_NONCE
     service.redeem(grant.link_token, grant.nonce, operation=1, now=20)
     with pytest.raises(RedeemError) as info:
         # reuse reported even when the operation would now be refused too
