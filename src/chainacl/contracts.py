@@ -43,7 +43,7 @@ from .engine import (
     model_to_bytes,
     quantize_model,
 )
-from .ledger import LedgerState
+from .ledger import LedgerState, user_key
 from .transactions import (
     AccessRequestTx,
     N_OPERATIONS,
@@ -111,7 +111,7 @@ def run_authentication(
     The produced transaction is unsigned; its authority comes from every
     replica deriving it identically during block execution.
     """
-    record = state.user_record(tx.user_pk)
+    record = state.users.get(user_key(tx))
     if record is None:
         return None, AUTH_FAIL_UNREGISTERED
     verified = VerifiedRequestTx(
@@ -224,7 +224,7 @@ class ContractRuntime:
         wanted: dict[tuple[int, int], None] = {}
         for tx in txs:
             if type(tx) is AccessRequestTx and len(wanted) < DECISION_CACHE_SIZE:
-                record = state.user_record(tx.user_pk)
+                record = state.users.get(user_key(tx))
                 if record is not None and (cell := (record.user_index, tx.info.resource_id)) not in self._cells:
                     wanted[cell] = None
         if wanted:

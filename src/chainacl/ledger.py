@@ -21,7 +21,7 @@ import threading
 from concurrent.futures import Future, ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Collection, Container, Iterable, Iterator, NamedTuple, Protocol, Sequence
 
@@ -90,8 +90,7 @@ class LedgerError(ValueError):
         self.reason = reason
 
 
-@dataclass(frozen=True)
-class LogEntry:
+class LogEntry(NamedTuple):
     """One audit event. The log is append-only and replay-reproducible."""
 
     kind: str
@@ -103,10 +102,6 @@ class LogEntry:
     time: int
     request_id: bytes = b""
     reason: str = ""
-
-    def __post_init__(self):
-        if self.kind not in LOG_KINDS:
-            raise LedgerError("bad_log_kind", self.kind)
 
     def encode_into(self, w: Writer) -> None:
         w.string(self.kind)
@@ -122,21 +117,18 @@ class LogEntry:
         w.string(self.reason)
 
 
-@dataclass(frozen=True)
-class UserRecord:
+class UserRecord(NamedTuple):
     user_index: int
     registered_at: int
 
 
-@dataclass(frozen=True)
-class NonceRecord:
+class NonceRecord(NamedTuple):
     issued_at: int
     redeemed: bool
     redeemed_at: int | None = None
 
 
-@dataclass(frozen=True)
-class RequestRecord:
+class RequestRecord(NamedTuple):
     """Lifecycle of one access request, keyed by request_id."""
 
     request_id: bytes
@@ -152,8 +144,9 @@ class RequestRecord:
     link_ciphertext: bytes = b""
     redeemed_at: int | None = None
     # position of the request in execution order; orders the expiries of one
-    # sweep as the request map does. Derived, so not compared or encoded.
-    seq: int = field(default=0, compare=False, repr=False)
+    # sweep as the request map does. Not encoded: it is derived from the
+    # chain, so every replica holds the same value and ``==`` may compare it.
+    seq: int = 0
 
     def encode_into(self, w: Writer) -> None:
         w.bytes_(self.request_id)
@@ -198,8 +191,9 @@ class LedgerState:
     checked on admission, which block execution need not check again.
     ``apply_block`` writes the consensus state in place, each write through
     an undo journal that takes a failed block back out. Values inside the
-    maps are frozen records that writes replace, never edit, so ``clone``,
-    which ``build_block`` executes on, is a set of shallow copies.
+    maps and the log are named tuples, immutable, that writes replace
+    (``_replace``), never edit, so ``clone``, which ``build_block``
+    executes on, is a set of shallow copies.
     """
 
     def __init__(self, config: GenesisConfig):
@@ -240,9 +234,6 @@ class LedgerState:
     def user_record(self, user_pk: bytes) -> UserRecord | None:
         return self.users.get(sha256(user_pk))
 
-    def is_registered(self, user_pk: bytes) -> bool:
-        return sha256(user_pk) in self.users
-
     def clone(self) -> "LedgerState":
         st = LedgerState.__new__(LedgerState)
         st.config = self.config
@@ -255,6 +246,16 @@ class LedgerState:
         st.pending_pool = dict(self.pending_pool)
         st.link_expiry = list(self.link_expiry)
         return st
+
+
+def user_key(tx: RegisterUserTx | AccessRequestTx) -> bytes:
+    """The ``users`` key of the user ``tx`` names, the hash of its public
+    key, computed once per transaction however often execution asks."""
+    return tx.memo("_memo_user_key", _hash_user_pk)
+
+
+def _hash_user_pk(tx: RegisterUserTx | AccessRequestTx) -> bytes:
+    return sha256(tx.user_pk)
 
 
 def genesis(config: GenesisConfig) -> LedgerState:
@@ -321,7 +322,7 @@ def validate_transaction(
 def _check_register(state: LedgerState, tx: RegisterUserTx, now: int) -> str | None:
     if not _fresh(tx.time, now):
         return REJECT_STALE_TIME
-    if state.is_registered(tx.user_pk):
+    if user_key(tx) in state.users:
         return REJECT_DUPLICATE_USER
     return REJECT_USER_LIMIT if len(state.users) >= MAX_USERS else None
 
@@ -453,7 +454,10 @@ def _log(
     decision: str = "",
     reason: str = "",
 ) -> None:
-    """Append one audit entry about ``record``'s request."""
+    """Append one audit entry about ``record``'s request; the one place
+    block execution builds a ``LogEntry``, so the one check of its kind."""
+    if kind not in LOG_KINDS:
+        raise LedgerError("bad_log_kind", kind)
     journal.append(state.access_log, LogEntry(
         kind=kind,
         user_pk=record.user_pk,
@@ -480,7 +484,7 @@ def _sweep_expired(state: LedgerState, journal: _Journal, height: int, now: int)
             due[seq] = record
     for seq in sorted(due):
         record = due[seq]
-        journal.put(state.requests, record.request_id, replace(record, status="expired"))
+        journal.put(state.requests, record.request_id, record._replace(status="expired"))
         _log(state, journal, record, "expired", height, now, "denied", "link_lifetime_elapsed")
 
 
@@ -493,7 +497,7 @@ def _sweep_expired(state: LedgerState, journal: _Journal, height: int, now: int)
 def _execute_register(
     state: LedgerState, journal: _Journal, outcome: ApplyOutcome, tx: RegisterUserTx, runtime, height: int, now: int
 ) -> None:
-    journal.put(state.users, sha256(tx.user_pk), UserRecord(user_index=len(state.users), registered_at=tx.time))
+    journal.put(state.users, user_key(tx), UserRecord(user_index=len(state.users), registered_at=tx.time))
 
 
 def _execute_access_request(
@@ -549,8 +553,7 @@ def _execute_link_delivery(
     state: LedgerState, journal: _Journal, outcome: ApplyOutcome, tx: LinkDeliveryTx, runtime, height: int, now: int
 ) -> None:
     record = state.requests[tx.request_id]
-    journal.put(state.requests, tx.request_id, replace(
-        record,
+    journal.put(state.requests, tx.request_id, record._replace(
         status="link_issued",
         link_issued_at=now,
         link_ciphertext=tx.ciphertext,
@@ -566,7 +569,7 @@ def _execute_redemption(
     journal.put(state.nonce_registry, tx.nonce, NonceRecord(
         issued_at=record.link_issued_at, redeemed=True, redeemed_at=tx.time
     ))
-    journal.put(state.requests, tx.request_id, replace(record, status="redeemed", redeemed_at=tx.time))
+    journal.put(state.requests, tx.request_id, record._replace(status="redeemed", redeemed_at=tx.time))
     _log(state, journal, record, "redeemed", height, tx.time, "granted")
 
 
@@ -823,7 +826,7 @@ def poll_request(state: LedgerState, request_id: bytes, now: int | None = None) 
     if record is None:
         return None
     if now is not None and record.status == "link_issued" and now > link_deadline(record.link_issued_at):
-        return replace(record, status="expired")
+        return record._replace(status="expired")
     return record
 
 

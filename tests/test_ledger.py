@@ -6,9 +6,10 @@ from dataclasses import replace
 
 import pytest
 
-from chainacl import ledger
+from chainacl import contracts, ledger
 from chainacl.blocks import Block, GenesisConfig, block_hash, make_genesis_block, seal_block
 from chainacl.contracts import ContractRuntime, engine_fingerprint
+from chainacl.codec import Writer
 from chainacl.crypto import Provider, sha256
 from chainacl.engine import ALLOW, DENY, PriorityRule, zero_model
 from chainacl.ledger import (
@@ -27,6 +28,10 @@ from chainacl.ledger import (
     REJECT_UNKNOWN_REQUEST,
     REJECT_USER_LIMIT,
     LedgerError,
+    LogEntry,
+    NonceRecord,
+    RequestRecord,
+    UserRecord,
     apply_block,
     build_block,
     expected_leader,
@@ -837,18 +842,83 @@ def test_every_wire_type_but_the_contract_output_has_a_handler():
     assert set(_HANDLERS) == wire_types - {VerifiedRequestTx}
 
 
+# -- state records ------------------------------------------------------------------
+
+
+def _request_record(**changes):
+    return RequestRecord(b"\x01" * 16, b"\x02" * 64, 1, 0, submitted_at=1)._replace(**changes)
+
+
+def test_log_refuses_an_unknown_kind(state):
+    journal = ledger._Journal()
+    with pytest.raises(LedgerError) as refused:
+        ledger._log(state, journal, _request_record(), "approved", 1, 1)
+    assert refused.value.reason == "bad_log_kind" and state.access_log == []
+    for kind in LOG_KINDS:
+        ledger._log(state, journal, _request_record(), kind, 1, 1)
+    assert [e.kind for e in state.access_log] == list(LOG_KINDS)
+
+
+@pytest.mark.parametrize("record", [
+    LogEntry("requested", b"\x02" * 64, 1, 0, "", 1, 1, b"\x01" * 16),
+    UserRecord(user_index=0, registered_at=1),
+    NonceRecord(issued_at=1, redeemed=True, redeemed_at=2),
+    _request_record(status="granted", access_list=(True,) * 4, overridden=(False,) * 4),
+], ids=lambda record: type(record).__name__)
+def test_state_records_cannot_change_in_place(record):
+    """The undo journal keeps the record a write displaced, and ``clone``
+    shares records with the state it copies: both rely on a record never
+    changing once built."""
+    before = tuple(record)
+    for name in record._fields:
+        with pytest.raises(AttributeError):
+            setattr(record, name, None)
+    changed = record._replace(**{name: None for name in record._fields})
+    assert tuple(record) == before and changed != record
+
+
+def test_request_seq_is_not_encoded():
+    """``seq`` orders one sweep's expiries; it is not part of a request's
+    consensus bytes, so ``state_digest`` never sees it."""
+    encodings = []
+    for seq in (0, 7):
+        w = Writer()
+        _request_record(status="link_issued", link_issued_at=3, seq=seq).encode_into(w)
+        encodings.append(w.getvalue())
+    assert encodings[0] == encodings[1]
+
+
+def test_execution_hashes_a_requesting_users_key_once(monkeypatch, seal_next, state, p, actors, runtime):
+    """Sealing and then applying the block look the user up four times,
+    twice each (``prepare_block`` and authentication), on the one request
+    object; its key is hashed once."""
+    user = actors["users"][0]
+    st = _registered(seal_next, state, p, actors, users=[user])
+    hashed = []
+
+    def counting_sha256(data):
+        hashed.append(data)
+        return sha256(data)
+
+    monkeypatch.setattr(ledger, "sha256", counting_sha256)
+    monkeypatch.setattr(contracts, "sha256", counting_sha256)
+    st = seal_next(st, p, actors, runtime, 2, [build_access_request_tx(p, user, RequestInfo(1, 0, b"\x55" * 16), time=2)])
+    assert st.requests[b"\x55" * 16].status == "granted"
+    assert hashed.count(user.public_key) == 1
+
+
 # -- in-place execution under the undo journal -----------------------------------
 
 
 def _fields(st):
     """Every field of a ledger state, in a form equal only for equal contents
-    and order; ``seq``, which records don't compare, is listed beside them."""
+    and order."""
     return {
         "chain": list(st.chain),
         "users": list(st.users.items()),
         "nonce_registry": list(st.nonce_registry.items()),
         "access_log": list(st.access_log),
-        "requests": [(rid, r, r.seq) for rid, r in st.requests.items()],
+        "requests": list(st.requests.items()),
         "seen_tx_ids": set(st.seen_tx_ids),
         "pending_pool": list(st.pending_pool.items()),
         "link_expiry": list(st.link_expiry),
