@@ -96,11 +96,9 @@ class World:
     # -- construction -----------------------------------------------------------
 
     def _add(self, node: SimNode) -> None:
-        old = self.nodes.get(node.name)
-        if old is None:
-            bisect.insort(self._names, node.name)
-        elif old.role == ROLE_VALIDATOR:
-            self._validator_names.remove(node.name)
+        if node.name in self.nodes:
+            raise ConfigurationError(f"node {node.name!r} already exists")
+        bisect.insort(self._names, node.name)
         if node.role == ROLE_VALIDATOR:
             bisect.insort(self._validator_names, node.name)
         self.nodes[node.name] = node
@@ -116,14 +114,13 @@ class World:
         runtime: ContractHooks | None,
         validator_names: tuple[str, ...],
         storage_name: str,
-        provider: Provider | None = None,
     ) -> ValidatorCore:
         core = ValidatorCore(
             name=name,
             keypair=keypair,
             config=config,
             runtime=runtime,
-            provider=provider or Provider(self._derived_seed(name)),
+            provider=Provider(self._derived_seed(name)),
             validator_names=validator_names,
             storage_name=storage_name,
             retransmit_interval=self.net.retransmit_interval,
@@ -137,13 +134,12 @@ class World:
         keypair: KeyPair,
         config: GenesisConfig,
         validator_names: tuple[str, ...],
-        provider: Provider | None = None,
     ) -> StorageCore:
         core = StorageCore(
             name=name,
             keypair=keypair,
             config=config,
-            provider=provider or Provider(self._derived_seed(name)),
+            provider=Provider(self._derived_seed(name)),
             validator_names=validator_names,
             retransmit_interval=self.net.retransmit_interval,
         )

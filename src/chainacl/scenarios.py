@@ -11,8 +11,8 @@ hold by construction rather than by luck.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import Callable
+from dataclasses import dataclass, replace
+from typing import Callable, Container, Sequence
 
 import numpy as np
 
@@ -22,14 +22,15 @@ from .crypto import KeyPair, Provider, sha256
 from .engine import (
     ALLOW,
     DENY,
-    GRANT_THRESHOLD,
     DecisionModel,
     PriorityRule,
     SyntheticPolicy,
     TrainConfig,
-    forward,
+    encode_pairs,
+    fixed_point_grants,
     generate_dataset,
     init_model,
+    quantize_model,
     train,
 )
 from .network import NetworkConfig, RedeemCall, RedeemReply, World
@@ -93,10 +94,22 @@ def _fixture_keypair(provider: Provider, seed: int, name: str) -> KeyPair:
 
 
 def _grant_table(model: DecisionModel, n_users: int, n_resources: int) -> np.ndarray:
-    """(n_users, n_resources, ops) boolean grid of model decisions."""
-    policy_free = generate_dataset(SyntheticPolicy(seed=0), n_users, n_resources)
-    scores = forward(model, policy_free.inputs)
-    return (scores >= GRANT_THRESHOLD).reshape(n_users, n_resources, N_OPERATIONS)
+    """(n_users, n_resources, ops) boolean grid of the model's grants, decided
+    on the fixed-point path block execution uses."""
+    users, resources = divmod(np.arange(n_users * n_resources), n_resources)
+    grants = fixed_point_grants(quantize_model(model), encode_pairs(users.tolist(), resources.tolist()))
+    return grants.reshape(n_users, n_resources, N_OPERATIONS)
+
+
+def _first_cell(
+    grants: np.ndarray, want: bool, used: Container[tuple[int, int]] = ()
+) -> tuple[int, int, int]:
+    """The first (user, resource, op) in grid order whose grant is ``want``
+    and whose (user, resource) is not in ``used``."""
+    for u, r, op in np.argwhere(grants == want).tolist():
+        if (u, r) not in used:
+            return (u, r, op)
+    raise FixtureError(f"model predicts no free cell with grant={want}")
 
 
 def _pick_cells(grants: np.ndarray) -> dict[str, tuple[int, int, int]]:
@@ -104,16 +117,9 @@ def _pick_cells(grants: np.ndarray) -> dict[str, tuple[int, int, int]]:
     used: set[tuple[int, int]] = set()
 
     def pick(want: bool) -> tuple[int, int, int]:
-        n_users, n_resources, n_ops = grants.shape
-        for u in range(n_users):
-            for r in range(n_resources):
-                if (u, r) in used:
-                    continue
-                for op in range(n_ops):
-                    if bool(grants[u, r, op]) == want:
-                        used.add((u, r))
-                        return (u, r, op)
-        raise FixtureError(f"model predicts no free cell with grant={want}")
+        cell = _first_cell(grants, want, used)
+        used.add(cell[:2])
+        return cell
 
     return {
         "model_allows": pick(True),
@@ -193,12 +199,15 @@ def shared_fixtures(
 def build_world(
     fixtures: Fixtures,
     net: NetworkConfig | None = None,
-    config: GenesisConfig | None = None,
-    runtime: ContractRuntime | None = None,
+    rules: Sequence[PriorityRule] | None = None,
 ) -> World:
-    """Three validators plus a storage node preloaded with every resource."""
-    config = config or fixtures.config
-    runtime = runtime or fixtures.runtime()
+    """Three validators plus a storage node preloaded with every resource.
+
+    The validators share one contract runtime of ``rules`` (the fixtures'
+    own when None), and the genesis config pins that runtime's fingerprint.
+    """
+    runtime = ContractRuntime(fixtures.model, fixtures.rules if rules is None else rules)
+    config = replace(fixtures.config, engine_fingerprint=runtime.fingerprint())
     world = World(net or NetworkConfig())
     for i, name in enumerate(VALIDATOR_NAMES):
         world.add_validator(
@@ -361,6 +370,7 @@ class ScenarioScript:
     net: NetworkConfig = NetworkConfig()
     settle_ticks: int = 20
     register_users: int = N_USERS
+    rules: tuple[PriorityRule, ...] | None = None  # None: the fixtures' rules
 
 
 # -- execution --------------------------------------------------------------------
@@ -414,10 +424,10 @@ class _Request:
 
 
 class _Runner:
-    def __init__(self, script: ScenarioScript, fixtures: Fixtures, world: World):
+    def __init__(self, script: ScenarioScript, fixtures: Fixtures):
         self.script = script
         self.fixtures = fixtures
-        self.world = world
+        self.world = build_world(fixtures, script.net, script.rules)
         self.requests: dict[str, _Request] = {}
         self.problems: list[str] = []
 
@@ -507,8 +517,7 @@ class _Runner:
 
 def run_scenario(script: ScenarioScript, fixtures: Fixtures | None = None) -> ScenarioReport:
     fixtures = fixtures or shared_fixtures()
-    world = build_world(fixtures, script.net)
-    runner = _Runner(script, fixtures, world)
+    runner = _Runner(script, fixtures)
     runner.run()
     assertions = [AssertionResult(e.description, *e.check(runner)) for e in script.expectations]
     for problem in runner.problems:
@@ -518,8 +527,8 @@ def run_scenario(script: ScenarioScript, fixtures: Fixtures | None = None) -> Sc
         description=script.description,
         passed=all(a.passed for a in assertions),
         assertions=assertions,
-        trace=list(world.trace),
-        ticks=world.tick,
+        trace=list(runner.world.trace),
+        ticks=runner.world.tick,
     )
 
 
@@ -531,7 +540,7 @@ def _net_for(name: str, base_seed: int) -> NetworkConfig:
     return NetworkConfig(seed=seed)
 
 
-def scenario_unregistered(fixtures: Fixtures, base_seed: int = 0) -> ScenarioScript:
+def scenario_unregistered(fixtures: Fixtures) -> ScenarioScript:
     _, r, op = fixtures.pairs["model_allows"]
     return ScenarioScript(
         name="1",
@@ -544,11 +553,10 @@ def scenario_unregistered(fixtures: Fixtures, base_seed: int = 0) -> ScenarioScr
             expect_log_kinds("intruder", ("requested", "denied")),
             expect_agreement(),
         ),
-        net=_net_for("1", base_seed),
     )
 
 
-def scenario_model_denies(fixtures: Fixtures, base_seed: int = 0) -> ScenarioScript:
+def scenario_model_denies(fixtures: Fixtures) -> ScenarioScript:
     u, r, op = fixtures.pairs["model_denies"]
     return ScenarioScript(
         name="2",
@@ -562,11 +570,10 @@ def scenario_model_denies(fixtures: Fixtures, base_seed: int = 0) -> ScenarioScr
             expect_basis("modeldeny", "model"),
             expect_agreement(),
         ),
-        net=_net_for("2", base_seed),
     )
 
 
-def scenario_rule_override(fixtures: Fixtures, base_seed: int = 0) -> ScenarioScript:
+def scenario_rule_override(fixtures: Fixtures) -> ScenarioScript:
     u, r, op = fixtures.pairs["rule_denies"]
     return ScenarioScript(
         name="3",
@@ -580,11 +587,10 @@ def scenario_rule_override(fixtures: Fixtures, base_seed: int = 0) -> ScenarioSc
             ),
             expect_agreement(),
         ),
-        net=_net_for("3", base_seed),
     )
 
 
-def scenario_grant_and_redeem(fixtures: Fixtures, base_seed: int = 0) -> ScenarioScript:
+def scenario_grant_and_redeem(fixtures: Fixtures) -> ScenarioScript:
     u, r, op = fixtures.pairs["model_allows"]
     return ScenarioScript(
         name="4",
@@ -603,12 +609,11 @@ def scenario_grant_and_redeem(fixtures: Fixtures, base_seed: int = 0) -> Scenari
             ),
             expect_agreement(),
         ),
-        net=_net_for("4", base_seed),
         settle_ticks=24,
     )
 
 
-def scenario_replay(fixtures: Fixtures, base_seed: int = 0) -> ScenarioScript:
+def scenario_replay(fixtures: Fixtures) -> ScenarioScript:
     u, r, op = fixtures.pairs["model_allows"]
     return ScenarioScript(
         name="replay",
@@ -626,12 +631,11 @@ def scenario_replay(fixtures: Fixtures, base_seed: int = 0) -> ScenarioScript:
             expect_status("victim", ("redeemed",)),
             expect_agreement(),
         ),
-        net=_net_for("replay", base_seed),
         settle_ticks=28,
     )
 
 
-def scenario_tamper(fixtures: Fixtures, base_seed: int = 0) -> ScenarioScript:
+def scenario_tamper(fixtures: Fixtures) -> ScenarioScript:
     u, r, op = fixtures.pairs["model_allows"]
     return ScenarioScript(
         name="tamper",
@@ -645,7 +649,6 @@ def scenario_tamper(fixtures: Fixtures, base_seed: int = 0) -> ScenarioScript:
             expect_trace("block_reject", 1),
             expect_agreement(),
         ),
-        net=_net_for("tamper", base_seed),
         settle_ticks=24,
     )
 
@@ -669,7 +672,7 @@ def standard_scenario(name: str, fixtures: Fixtures, base_seed: int = 0) -> Scen
         raise KeyError(
             f"unknown scenario {name!r}; expected one of {', '.join(SCENARIO_NAMES)}"
         ) from None
-    return builder(fixtures, base_seed)
+    return replace(builder(fixtures), net=_net_for(name, base_seed))
 
 
 # -- decision matrix ----------------------------------------------------------------
@@ -709,74 +712,43 @@ class MatrixReport:
         return "\n".join(self.lines()) + "\n"
 
 
-def _matrix_cell(fixtures: Fixtures, want_grant: bool) -> tuple[int, int, int]:
-    """A (user, resource, op) cell for user 0 with the wanted model decision."""
-    grants = _grant_table(fixtures.model, 1, fixtures.n_resources)
-    for r in range(fixtures.n_resources):
-        for op in range(N_OPERATIONS):
-            if bool(grants[0, r, op]) == want_grant:
-                return (0, r, op)
-    raise FixtureError(f"user 0 has no model cell with grant={want_grant}")
-
-
 def _run_matrix_row(
     fixtures: Fixtures,
+    cell: tuple[int, int, int],
     registered: bool,
     model_grant: bool,
     rule_effect: str,
     base_seed: int,
 ) -> MatrixRow:
-    u, r, op = _matrix_cell(fixtures, model_grant)
-    rules: list[PriorityRule] = []
-    if rule_effect == "allow":
-        rules.append(PriorityRule(10, u, r, op, ALLOW))
-    elif rule_effect == "deny":
-        rules.append(PriorityRule(10, u, r, op, DENY))
-
+    """Request ``cell`` of user 0 at tick 3 on a world of its own, as the
+    user (registered) or as a fresh key, under at most one rule on the cell."""
+    u, r, op = cell
+    rules = () if rule_effect == "none" else (PriorityRule(10, u, r, op, rule_effect),)
     if not registered:
         expected = "denied"
-    elif rule_effect == "allow":
-        expected = "granted"
-    elif rule_effect == "deny":
-        expected = "denied"
-    else:
+    elif rule_effect == "none":
         expected = "granted" if model_grant else "denied"
-
-    config = GenesisConfig(
-        admin_pks=fixtures.config.admin_pks,
-        validators=fixtures.config.validators,
-        storage_pk=fixtures.config.storage_pk,
-        engine_fingerprint=engine_fingerprint(fixtures.model, rules),
-        genesis_time=0,
-        block_interval=fixtures.config.block_interval,
-    )
-    runtime = ContractRuntime(fixtures.model, rules)
-    tag = f"{int(registered)}{int(model_grant)}{rule_effect}"
-    world = build_world(fixtures, _net_for(f"matrix/{tag}", base_seed), config, runtime)
-
-    if registered:
-        tx = build_register_user_tx(
-            fixtures.provider, fixtures.admin, fixtures.users[u].public_key, time=0
-        )
-        world.submit_transaction("admin", tx)
-        requester = fixtures.users[u]
     else:
-        requester = fixtures.provider.generate_keypair(
-            seed=sha256(f"matrix/{base_seed}/{tag}".encode())
-        )
+        expected = "granted" if rule_effect == ALLOW else "denied"
 
-    rid = sha256(f"matrix-req/{base_seed}/{tag}".encode())[:16]
-    world.run(3)
-    req = build_access_request_tx(
-        fixtures.provider,
-        requester,
-        RequestInfo(resource_id=r, operation=op, request_id=rid),
-        time=world.tick,
+    tag = f"matrix/{int(registered)}{int(model_grant)}{rule_effect}"
+    requester = {"user": u} if registered else {"fresh": "outsider"}
+    runner = _Runner(
+        ScenarioScript(
+            name=tag,
+            description="one row of the decision matrix",
+            actions=(request_at(3, "row", resource_id=r, operation=op, **requester),),
+            expectations=(),
+            net=_net_for(tag, base_seed),
+            settle_ticks=11,
+            register_users=int(registered),
+            rules=rules,
+        ),
+        fixtures,
     )
-    world.submit_transaction(f"mu-{tag}", req)
-    world.run(12)
+    runner.run()
 
-    record = world.poll(rid)
+    record = runner.world.poll(runner.requests["row"].request_id)
     if record is None:
         outcome = "missing"
     elif record.status in _GRANTED_STATUSES:
@@ -799,11 +771,13 @@ def _run_matrix_row(
 def run_matrix(fixtures: Fixtures | None = None, base_seed: int = 0) -> MatrixReport:
     """Every (registered, model grant, rule effect) combination, one world each."""
     fixtures = fixtures or shared_fixtures()
+    user0 = _grant_table(fixtures.model, 1, fixtures.n_resources)
+    cells = {want: _first_cell(user0, want) for want in (True, False)}
     rows = [
-        _run_matrix_row(fixtures, registered, model_grant, rule_effect, base_seed)
+        _run_matrix_row(fixtures, cells[model_grant], registered, model_grant, rule_effect, base_seed)
         for registered in (True, False)
         for model_grant in (True, False)
-        for rule_effect in ("none", "allow", "deny")
+        for rule_effect in ("none", ALLOW, DENY)
     ]
     return MatrixReport(rows=rows, passed=all(r.ok for r in rows))
 

@@ -2,9 +2,15 @@
 
 import pytest
 
+from chainacl.contracts import engine_fingerprint, run_authorization
+from chainacl.engine import DENY, PriorityRule, binary_repr, zero_model
+from chainacl.network import NetworkConfig
 from chainacl.scenarios import (
     SCENARIO_NAMES,
+    VALIDATOR_NAMES,
     ScenarioScript,
+    _grant_table,
+    build_world,
     expect_basis,
     expect_payload,
     expect_redeem,
@@ -17,6 +23,13 @@ from chainacl.scenarios import (
     run_suite,
     shared_fixtures,
     standard_scenario,
+)
+from chainacl.transactions import (
+    RESOURCE_BITS_WIDTH,
+    USER_BITS_WIDTH,
+    AccessRequestTx,
+    RequestInfo,
+    VerifiedRequestTx,
 )
 
 
@@ -42,6 +55,58 @@ def test_fixture_pairs_are_disjoint_and_labeled(fixtures):
     }
     cells = {(u, r) for u, r, _ in fixtures.pairs.values()}
     assert len(cells) == 4
+
+
+def test_grant_table_is_the_decision_block_execution_makes():
+    """Fixture and matrix cells come from the fixed-point decisions the chain
+    makes. A bias just under zero scores under 0.5 in floating point, but
+    quantizes to a logit of 0, which grants op 0."""
+    model = zero_model()
+    model.biases[-1][0] = -(2**-20)
+    grants = _grant_table(model, 2, 3)
+    assert grants[:, :, 0].all()
+    for u in range(2):
+        for r in range(3):
+            verified = VerifiedRequestTx(
+                time=10,
+                user_bits=binary_repr(u, USER_BITS_WIDTH),
+                req_bits=binary_repr(r, RESOURCE_BITS_WIDTH),
+                request_id=bytes(16),
+                locally_derived=True,
+            )
+            request = AccessRequestTx(
+                user_pk=bytes(32), time=10, info=RequestInfo(r, 0, bytes(16)), user_sig=b""
+            )
+            result = run_authorization(model, [], verified, request, now=10)
+            assert tuple(grants[u, r].tolist()) == result.access_list
+
+
+def test_build_world_pins_the_fingerprint_of_its_rules(fixtures):
+    u, r, op = fixtures.pairs["model_allows"]
+    rules = [PriorityRule(10, u, r, op, DENY)]
+    world = build_world(fixtures, NetworkConfig(seed=5), rules=rules)
+    for name in VALIDATOR_NAMES:
+        core = world.nodes[name].core
+        assert core.runtime.fingerprint() == core.state.config.engine_fingerprint
+        assert core.runtime.fingerprint() == engine_fingerprint(fixtures.model, rules)
+    assert engine_fingerprint(fixtures.model, rules) != fixtures.config.engine_fingerprint
+    assert build_world(fixtures).nodes["v0"].core.state.config == fixtures.config
+
+
+def test_script_rules_deny_the_model_allows_cell_on_chain(fixtures):
+    u, r, op = fixtures.pairs["model_allows"]
+    script = ScenarioScript(
+        name="ruled",
+        description="a deny rule on the cell the model allows",
+        actions=(request_at(4, "ruled", resource_id=r, operation=op, user=u),),
+        expectations=(
+            expect_status("ruled", ("denied",), reason="policy"),
+            expect_basis("ruled", "rule_override"),
+        ),
+        rules=(PriorityRule(10, u, r, op, DENY),),
+    )
+    report = run_scenario(script, fixtures)
+    assert report.passed, report.text()
 
 
 @pytest.mark.parametrize("name", SCENARIO_NAMES)

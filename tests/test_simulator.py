@@ -205,6 +205,13 @@ def test_submit_transaction_autocreates_origin(fixtures):
     assert world.nodes["walk-in"].role == "user"
 
 
+def test_node_names_are_unique(fixtures):
+    world = _world(fixtures, seed=12)
+    with pytest.raises(ConfigurationError, match="already exists"):
+        world.add_user("v0")
+    assert world.nodes["v0"].role == "validator"
+
+
 def _empty_chain(config, keys, length):
     """``length`` empty blocks on ``config``'s genesis, each sealed by its slot's leader."""
     state = genesis(config)
